@@ -7,6 +7,7 @@ remembers its parents and a closure that pushes gradients to them);
 
 Design constraints:
   * first-order gradients only, single-threaded per graph
+  * ``matmul`` multiplies over the last two axes, batched over equal leading axes
   * all randomness flows through an explicit :class:`RngState`
   * matmul work is tallied in a module-level multiply-accumulate counter
     so attention cost scaling can be measured rather than estimated
@@ -248,37 +249,38 @@ def neg(a) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
+    """Matrix product over the last two axes; leading (batch) axes must be equal, not broadcast."""
     a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul requires 2-D operands or equal batch axes, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     global _mac_count
-    _mac_count += a.shape[0] * a.shape[1] * b.shape[1]
+    _mac_count += a.size * b.shape[-1]
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.swapaxes(-1, -2))
+        _accumulate(b, a.data.swapaxes(-1, -2) @ g)
 
     return _make(data, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Permute the axes; ``axes[i]`` names the input axis that becomes axis i."""
     a = _coerce(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose requires a 2-D tensor, got shape {a.shape}")
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise ShapeError(f"transpose axes {axes} are not a permutation of the axes of shape {a.shape}")
 
     def backward(g):
-        _accumulate(a, g.T)
+        _accumulate(a, g.transpose(np.argsort(axes)))
 
-    return _make(a.data.T.copy(), (a,), backward)
+    return _make(a.data.transpose(axes), (a,), backward)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     a = _coerce(a)
-    shape = tuple(shape)
 
     def backward(g):
         _accumulate(a, g.reshape(a.shape))
@@ -291,11 +293,8 @@ def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(ge, a.shape).copy())
+        ge = g if keepdims or axis is None else np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(ge, a.shape))
 
     return _make(data, (a,), backward)
 
@@ -321,10 +320,15 @@ def relu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), evaluated without overflow for either sign of x."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
     a = _coerce(a)
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    data = _logistic(a.data)
 
     def backward(g):
         _accumulate(a, g * data * (1.0 - data))
@@ -338,9 +342,7 @@ def softplus(a: Tensor) -> Tensor:
     data = np.logaddexp(0.0, a.data)
 
     def backward(g):
-        x = a.data
-        sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        _accumulate(a, g * sig)
+        _accumulate(a, g * _logistic(a.data))
 
     return _make(data, (a,), backward)
 
@@ -416,20 +418,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _coerce(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"slice_cols requires a 2-D tensor, got shape {a.shape}")
-    data = a.data[:, start:stop].copy()
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        _accumulate(a, full)
-
-    return _make(data, (a,), backward)
-
-
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows (or elements of a 1-D tensor) by integer index, with repeats allowed."""
     a = _coerce(a)
@@ -449,14 +437,11 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ShapeError("concat requires at least one tensor")
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    splits = np.cumsum([p.shape[axis] for p in parts[:-1]])
 
     def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(p, g[tuple(sl)])
+        for p, part in zip(parts, np.split(g, splits, axis=axis)):
+            _accumulate(p, part)
 
     return _make(data, tuple(parts), backward)
 
@@ -466,18 +451,25 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax; rejects non-finite input."""
+def softmax(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
+    """Numerically stabilized softmax of ``scale * a``, built in one buffer; rejects non-finite input."""
     a = _coerce(a)
-    if not np.all(np.isfinite(a.data)):
+    data = a.data * scale
+    peak = data.max(axis=axis, keepdims=True)
+    # NaN and +inf show in a row maximum, -inf in the global minimum
+    if not (np.isfinite(peak).all() and np.isfinite(data.min())):
         raise NumericError("softmax requires finite input")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data -= peak
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        _accumulate(a, data * (g - dot))
+        dx = g * data
+        dot = dx.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=dx)
+        dx *= data
+        dx *= scale
+        _accumulate(a, dx)
 
     return _make(data, (a,), backward)
 
@@ -498,10 +490,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match normalized dim {dim}"
         )
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    centred = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + eps)
+    xhat = centred * inv
     data = xhat * gain.data + bias.data
     if squeeze:
         data = data[0]
@@ -562,11 +553,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Populate gradients for every requires_grad ancestor of a scalar loss.
+    """Populate gradients for every requires_grad leaf under a scalar loss.
 
     Returns a map from leaf tensors (graph inputs with requires_grad) to their
-    gradients. Running backward twice on the same loss is an error; build a
-    fresh graph instead.
+    gradients; interior nodes release theirs once pushed to their parents.
+    Running backward twice on the same loss is an error; build a fresh graph
+    instead.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -580,4 +572,5 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     for node in reversed(order):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            node.grad = None
     return {t: t.grad for t in order if t.requires_grad and not t._parents and t.grad is not None}

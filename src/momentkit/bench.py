@@ -43,7 +43,7 @@ def measure_full_attention_macs(n_clips: int, dim: int = BENCH_DIM, heads: int =
     x = Tensor(rng.normal((n_clips, dim)))
     with ag.no_grad():
         ag.reset_mac_count()
-        attention(params, x, x, x, residual=x)
+        attention(params, x, x, residual=x)
         return ag.mac_count()
 
 

@@ -9,9 +9,10 @@ Three attention wirings cover everything the model needs:
                           to read the fused information back out
 
 All three share one primitive: out_i = res_i + W_z · sum_j a_ij · (v_j W_v)
-with a_ij = softmax_j((q_i W_q) · (k_j W_k)). Learnable positional encodings
-are added to the *inputs* of the query/key projections only — never to the
-values — and each wiring chooses which side receives them.
+with a_ij = softmax_j((q_i W_q) · (k_j W_k)), all heads computed as one
+(heads, N, head_dim) batch. Learnable positional encodings are added to the
+*inputs* of the query/key projections only — never to the values — and each
+wiring chooses which side receives them.
 
 Sequences are (N, dim) float64 tensors; one sample at a time.
 """
@@ -99,6 +100,8 @@ class BottleneckTokens(Module):
         self.tokens = Tensor(rng.normal((n_tokens, dim), scale=scale), requires_grad=True)
 
     def value(self) -> Tensor:
+        # a node per call sums each sample's token gradients before they reach
+        # the parameter; that summation order is part of the checkpoint bytes
         return ag.slice_rows(self.tokens, 0, self.n_tokens)
 
 
@@ -120,8 +123,7 @@ class AttentionParams(Module):
 def attention(
     params: AttentionParams,
     q_in: Tensor,
-    k_in: Tensor,
-    v_in: Tensor,
+    kv_in: Tensor,
     residual: Tensor,
     q_pos: Tensor | None = None,
     k_pos: Tensor | None = None,
@@ -130,31 +132,26 @@ def attention(
     rng: RngState | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Multi-head attention with a residual connection.
+    """Multi-head attention of ``q_in`` over ``kv_in`` with a residual connection.
 
     ``scaled=False`` drops the 1/sqrt(head_dim) factor on the scores, reducing
     each head to the plain bilinear form that the reference oracles compute.
     """
     if q_pos is not None:
         q_in = ag.add(q_in, q_pos)
-    if k_pos is not None:
-        k_in = ag.add(k_in, k_pos)
-    q_full = ag.matmul(q_in, params.w_q)
-    k_full = ag.matmul(k_in, params.w_k)
-    v_full = ag.matmul(v_in, params.w_v)
-    head_outs = []
-    for h in range(params.n_heads):
-        lo, hi = h * params.head_dim, (h + 1) * params.head_dim
-        qh = ag.slice_cols(q_full, lo, hi)
-        kh = ag.slice_cols(k_full, lo, hi)
-        vh = ag.slice_cols(v_full, lo, hi)
-        scores = ag.matmul(qh, ag.transpose(kh))
-        if scaled:
-            scores = ag.mul(scores, 1.0 / math.sqrt(params.head_dim))
-        weights = ag.softmax(scores, axis=-1)
-        head_outs.append(ag.matmul(weights, vh))
-    merged = head_outs[0] if params.n_heads == 1 else ag.concat(head_outs, axis=1)
-    out = ag.matmul(merged, params.w_z)
+    k_in = ag.add(kv_in, k_pos) if k_pos is not None else kv_in
+
+    def split(x: Tensor, w: Tensor, axes: tuple[int, int, int]) -> Tensor:
+        x = ag.matmul(x, w)
+        return ag.transpose(ag.reshape(x, (x.shape[0], params.n_heads, params.head_dim)), axes)
+
+    q = split(q_in, params.w_q, (1, 0, 2))    # (heads, Nq, head_dim)
+    k_t = split(k_in, params.w_k, (1, 2, 0))  # (heads, head_dim, Nk)
+    v = split(kv_in, params.w_v, (1, 0, 2))   # (heads, Nk, head_dim)
+    scale = 1.0 / math.sqrt(params.head_dim) if scaled else 1.0
+    weights = ag.softmax(ag.matmul(q, k_t), axis=-1, scale=scale)
+    mixed = ag.transpose(ag.matmul(weights, v), (1, 0, 2))
+    out = ag.matmul(ag.reshape(mixed, (mixed.shape[0], params.dim)), params.w_z)
     if drop_rate > 0.0:
         out = ag.dropout(out, drop_rate, rng, training)
     return ag.add(residual, out)
@@ -173,7 +170,7 @@ def self_attention(
     """Within-sequence attention; the positional encoding feeds both queries and keys."""
     h = norm(x) if norm is not None else x
     return attention(
-        params, h, h, h, residual=x, q_pos=pos, k_pos=pos,
+        params, h, h, residual=x, q_pos=pos, k_pos=pos,
         scaled=scaled, drop_rate=drop_rate, rng=rng, training=training,
     )
 
@@ -197,7 +194,7 @@ def compress(
     hq = norm_z(z) if norm_z is not None else z
     hx = norm_x(x) if norm_x is not None else x
     return attention(
-        params, hq, hx, hx, residual=z, q_pos=None, k_pos=pos,
+        params, hq, hx, residual=z, q_pos=None, k_pos=pos,
         scaled=scaled, drop_rate=drop_rate, rng=rng, training=training,
     )
 
@@ -221,7 +218,7 @@ def expand(
     hq = norm_x(x) if norm_x is not None else x
     hz = norm_z(z) if norm_z is not None else z
     return attention(
-        params, hq, hz, hz, residual=x, q_pos=pos, k_pos=None,
+        params, hq, hz, residual=x, q_pos=pos, k_pos=None,
         scaled=scaled, drop_rate=drop_rate, rng=rng, training=training,
     )
 

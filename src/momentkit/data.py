@@ -109,8 +109,8 @@ class MomentAnnotation:
     def __post_init__(self):
         self.center = float(self.center)
         self.window = float(self.window)
-        if self.window <= 0.0:
-            raise DataError(f"moment window must be positive, got {self.window}")
+        if not (np.isfinite(self.center) and np.isfinite(self.window) and self.window > 0.0):
+            raise DataError(f"moment needs a finite center and positive window, got {self.center}, {self.window}")
 
     @property
     def start_clips(self) -> float:
@@ -140,6 +140,8 @@ class VideoSample:
     def __post_init__(self):
         if self.visual is None and self.audio is None:
             raise DataError(f"{self.video_id}: need visual or audio features")
+        if not (np.isfinite(self.clip_seconds) and self.clip_seconds > 0.0):
+            raise DataError(f"{self.video_id}: clip_seconds must be finite and positive, got {self.clip_seconds}")
         if self.visual is not None and self.audio is not None and self.audio.length != self.visual.length:
             raise DataError(
                 f"{self.video_id}: audio rows {self.audio.length} != visual rows {self.visual.length}"
@@ -150,6 +152,8 @@ class VideoSample:
                 raise DataError(
                     f"{self.video_id}: saliency length {self.saliency.shape} != clip count {self.n_clips}"
                 )
+            if not np.all((self.saliency >= 0.0) & (self.saliency <= 1.0)):
+                raise DataError(f"{self.video_id}: saliency values must lie in [0, 1]")
         for m in self.moments:
             if m.end_clips <= 0.0 or m.start_clips >= self.n_clips:
                 raise DataError(
@@ -214,6 +218,8 @@ def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
         raise DataError(f"{manifest_path}: manifest missing") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
+        raise DataError(f"{manifest_path}: manifest must be a JSON object with a samples list")
     version = manifest.get("version")
     if version != MANIFEST_VERSION:
         raise DataError(f"{manifest_path}: unsupported manifest version {version!r}")
@@ -224,6 +230,8 @@ def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
     root = manifest_path.parent
     samples = []
     for rec in manifest["samples"]:
+        if not isinstance(rec, dict):
+            raise DataError(f"{manifest_path}: sample records must be JSON objects, got {rec!r}")
         vid = str(rec.get("id", "<missing id>"))
         seqs: dict[str, FeatureSequence | None] = {}
         for mod in MODALITIES:
@@ -251,10 +259,8 @@ def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
                     positive_threshold=threshold,
                 )
             )
-        except DataError:
-            raise
-        except KeyError as exc:
-            raise DataError(f"sample {vid}: missing manifest field {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"sample {vid}: missing or malformed manifest field {exc}") from exc
     return samples
 
 

@@ -196,7 +196,7 @@ class QueryGeneratorLayer(Module):
         hq = self.norm_joint(joint)
         ht = self.norm_text(text)
         return attention(
-            self.attn, hq, ht, ht, residual=joint,
+            self.attn, hq, ht, residual=joint,
             scaled=scaled, drop_rate=self.drop, rng=rng, training=training,
         )
 
@@ -225,7 +225,7 @@ class DecoderLayer(Module):
         )
         hq = self.norm_query(q)
         q = attention(
-            self.cross_attn, hq, memory, memory, residual=q, q_pos=q_pos, k_pos=m_pos,
+            self.cross_attn, hq, memory, residual=q, q_pos=q_pos, k_pos=m_pos,
             scaled=scaled, drop_rate=self.drop, rng=rng, training=training,
         )
         return self.ff(q, norm=self.norm_ff, rng=rng, training=training)
@@ -415,16 +415,18 @@ def load_checkpoint(path: str | Path) -> tuple[MomentModel, dict]:
     header_end = 16 + blob_len
     if len(raw) < header_end:
         raise CheckpointError(f"{path}: truncated header")
-    header = json.loads(raw[16:header_end].decode("utf-8"))
-    config = ModelConfig.from_dict(header["config"])
+    try:
+        header = json.loads(raw[16:header_end].decode("utf-8"))
+        recorded = [(r["name"], tuple(r["shape"])) for r in header["params"]]
+        config = ModelConfig.from_dict(header["config"])
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
     model = MomentModel(config, seed=0)
     params = model.named_parameters()
-    recorded = header["params"]
-    if [r["name"] for r in recorded] != [n for n, _ in params]:
+    if [name for name, _ in recorded] != [n for n, _ in params]:
         raise CheckpointError(f"{path}: parameter names do not match the configuration")
     offset = header_end
-    for rec, (name, p) in zip(recorded, params):
-        shape = tuple(rec["shape"])
+    for (_, shape), (name, p) in zip(recorded, params):
         if shape != p.shape:
             raise CheckpointError(f"{path}: {name} has shape {shape}, model expects {p.shape}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1

@@ -197,6 +197,44 @@ def test_attention_params_rejects_indivisible_heads():
         blocks.AttentionParams(10, 3, RngState(18))
 
 
+def looped_attention(params, q_in, kv_in, residual, q_pos=None, k_pos=None, scaled=True):
+    """Reference: one head at a time, with the float operations of batched attention in the same order."""
+    q_in = q_in + q_pos if q_pos is not None else q_in
+    k_in = kv_in + k_pos if k_pos is not None else kv_in
+    q_full, k_full, v_full = q_in @ params.w_q.data, k_in @ params.w_k.data, kv_in @ params.w_v.data
+    outs = []
+    for h in range(params.n_heads):
+        cols = slice(h * params.head_dim, (h + 1) * params.head_dim)
+        scores = np.ascontiguousarray(q_full[:, cols]) @ np.ascontiguousarray(k_full[:, cols].T)
+        if scaled:
+            scores = scores * (1.0 / math.sqrt(params.head_dim))
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        outs.append((e / e.sum(axis=-1, keepdims=True)) @ np.ascontiguousarray(v_full[:, cols]))
+    return residual + np.concatenate(outs, axis=1) @ params.w_z.data
+
+
+@pytest.mark.parametrize("dim,n_heads,n_q,n_k", [(8, 1, 5, 3), (16, 4, 7, 7), (64, 8, 4, 33), (64, 8, 40, 40)])
+def test_batched_heads_equal_the_per_head_loop_bitwise(dim, n_heads, n_q, n_k):
+    rng = np.random.default_rng(dim + n_q)
+    params = make_params(dim, n_heads, seed=n_k)
+    q, kv, q_pos, k_pos = (rng.normal(size=(n, dim)) for n in (n_q, n_k, n_q, n_k))
+    for scaled in (True, False):
+        got = blocks.attention(params, Tensor(q), Tensor(kv), residual=Tensor(q),
+                               q_pos=Tensor(q_pos), k_pos=Tensor(k_pos), scaled=scaled)
+        np.testing.assert_array_equal(got.data, looped_attention(params, q, kv, q, q_pos, k_pos, scaled))
+
+
+def test_attention_tape_size_does_not_depend_on_head_count():
+    x = Tensor(np.random.default_rng(0).normal(size=(5, 8)), requires_grad=True)
+    z = Tensor(np.random.default_rng(1).normal(size=(2, 8)), requires_grad=True)
+    counts = {
+        heads: (len(ag._topo_order(blocks.self_attention(x, make_params(8, heads, seed=1)))),
+                len(ag._topo_order(blocks.compress(x, z, make_params(8, heads, seed=1)))))
+        for heads in (1, 8)
+    }
+    assert counts[1] == counts[8]
+
+
 def test_positional_table_capacity_enforced():
     pe = blocks.PositionalEncoding(8, 4, RngState(19))
     assert pe.rows(8).shape == (8, 4)

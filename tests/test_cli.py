@@ -1,12 +1,14 @@
 """End-to-end command-line workflow on a tiny synthetic corpus."""
 
 import json
+import struct
 
 import pytest
 
 from momentkit.cli import main, parse_config_file, section
-from momentkit.data import DataError
+from momentkit.data import DataError, load_dataset
 from momentkit.decode import read_predictions
+from momentkit.model import CheckpointError, ModelConfig, MomentModel, load_checkpoint, save_checkpoint
 
 TINY_CONFIG = """\
 # tiny end-to-end setup
@@ -130,3 +132,64 @@ def test_config_file_parsing(tmp_path):
     (tmp_path / "broken.cfg").write_text("just words\n")
     with pytest.raises(DataError, match="key = value"):
         parse_config_file(tmp_path / "broken.cfg")
+
+
+def _drop(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _set(*path, value):
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+    return edit
+
+
+def _rewrite_manifest(path, edit):
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def _rewrite_checkpoint_header(path, edit):
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    blob = json.dumps(edit(json.loads(raw[16:16 + length]))).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length:])
+
+
+MALFORMED = {
+    "checkpoint header without config": (_rewrite_checkpoint_header, _drop("config"), CheckpointError),
+    "checkpoint header without params": (_rewrite_checkpoint_header, _drop("params"), CheckpointError),
+    "checkpoint header not an object": (_rewrite_checkpoint_header, lambda doc: [doc], CheckpointError),
+    "manifest without samples": (_rewrite_manifest, _drop("samples"), DataError),
+    "manifest not an object": (_rewrite_manifest, lambda doc: [doc], DataError),
+    "negative clip_seconds": (_rewrite_manifest, _set("samples", 0, "clip_seconds", value=-1), DataError),
+    "null clip_seconds": (_rewrite_manifest, _set("samples", 0, "clip_seconds", value=None), DataError),
+    "saliency above one": (_rewrite_manifest, _set("samples", 0, "saliency", 0, value=7.0), DataError),
+    "NaN moment window": (_rewrite_manifest, _set("samples", 0, "moments", 0, "window", value=float("nan")), DataError),
+    "NaN moment center": (_rewrite_manifest, _set("samples", 0, "moments", 0, "center", value=float("nan")), DataError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_inputs_raise_typed_errors_and_exit_cleanly(case, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CONFIG)
+    code, out, _ = run(capsys, ["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")])
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    ckpt = tmp_path / "model.ckpt"
+    model_cfg = ModelConfig(model_dim=8, heads=2, n_bottleneck=2, max_len=16, visual_dim=6, audio_dim=5, text_dim=4)
+    save_checkpoint(MomentModel(model_cfg), ckpt)
+    rewrite, edit, error = MALFORMED[case]
+    rewrite(ckpt if rewrite is _rewrite_checkpoint_header else tmp_path / "ds" / "manifest.json", edit)
+
+    with pytest.raises(error):
+        load_dataset(manifest)
+        load_checkpoint(ckpt)
+    code, out, err = run(capsys, ["eval", manifest, "--checkpoint", str(ckpt)])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == error.__name__

@@ -113,14 +113,14 @@ def manual_forward(model: MomentModel, sample: VideoSample):
     t = model.text_proj(Tensor(sample.text.array.astype(np.float64)))
     qg = model.query_generator[0]
     ht = qg.norm_text(t)
-    q = blocks.attention(qg.attn, qg.norm_joint(joint), ht, ht, residual=joint, scaled=sc)
+    q = blocks.attention(qg.attn, qg.norm_joint(joint), ht, residual=joint, scaled=sc)
 
     n = q.shape[0]
     qp = model.query_pos.rows(n)
     mp = model.memory_pos.rows(n)
     dl = model.decoder[0]
     q = blocks.self_attention(q, dl.self_attn, pos=qp, norm=dl.norm_self, scaled=sc)
-    q = blocks.attention(dl.cross_attn, dl.norm_query(q), joint, joint,
+    q = blocks.attention(dl.cross_attn, dl.norm_query(q), joint,
                          residual=q, q_pos=qp, k_pos=mp, scaled=sc)
     q = dl.ff(q, norm=dl.norm_ff)
     q = model.decoder_norm(q)
