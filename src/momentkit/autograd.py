@@ -9,6 +9,8 @@ Design constraints:
   * first-order gradients only, single-threaded per graph
   * ``matmul`` multiplies over the last two axes, batched over equal leading axes
   * all randomness flows through an explicit :class:`RngState`
+  * gradients are never changed in place: a tensor's first gradient is kept
+    as given and may be shared with other tensors, later ones add out of place
   * matmul work is tallied in a module-level multiply-accumulate counter
     so attention cost scaling can be measured rather than estimated
 """
@@ -186,8 +188,11 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += grad
+        # kept as given, so it may share memory with another tensor's gradient;
+        # views that are not C-contiguous (transposes, broadcasts, splits) are copied
+        t.grad = grad if grad.flags.c_contiguous else grad.copy()
+    else:
+        t.grad = t.grad + grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -226,7 +226,10 @@ def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
     base = manifest.get("coordinate_base", 0)
     if base not in (0, 1):
         raise DataError(f"{manifest_path}: coordinate_base must be 0 or 1, got {base!r}")
-    threshold = float(manifest.get("positive_threshold", 0.5))
+    try:
+        threshold = float(manifest.get("positive_threshold", 0.5))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{manifest_path}: positive_threshold must be a number ({exc})") from exc
     root = manifest_path.parent
     samples = []
     for rec in manifest["samples"]:
@@ -243,9 +246,10 @@ def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
         moments = []
         for m in rec.get("moments", []):
             try:
-                moments.append(MomentAnnotation(float(m["center"]) - base, float(m["window"])))
-            except (KeyError, TypeError) as exc:
-                raise DataError(f"sample {vid}: moment record {m} needs center and window") from exc
+                center, window = float(m["center"]) - base, float(m["window"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"sample {vid}: moment record {m} needs a numeric center and window") from exc
+            moments.append(MomentAnnotation(center, window))
         try:
             samples.append(
                 VideoSample(
@@ -259,7 +263,9 @@ def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
                     positive_threshold=threshold,
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except DataError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"sample {vid}: missing or malformed manifest field {exc}") from exc
     return samples
 

@@ -22,8 +22,11 @@ layer norm moves to the end of that modality's encoder, so disabled
 modalities contribute neither parameters nor compute.
 
 Checkpoints are a small versioned container: magic, version, a canonical JSON
-header (config + parameter names/shapes) and the raw float64 parameter
-payload — written atomically and byte-identical for identical states.
+header (config + parameter names/shapes) and the raw little-endian float64
+parameter payload — written atomically, straight from the parameter arrays,
+and byte-identical for identical states. The loader checks every size against
+the file's length before it reads, builds the model without drawing an
+initialisation, and reads the payload straight into the parameter arrays.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -235,9 +239,11 @@ class MomentModel(Module):
     """Full assembly; parameter layout is a deterministic function of (config, seed)."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
+        self._build(config, RngState(seed))
+
+    def _build(self, config: ModelConfig, rng: RngState) -> None:
         config.validate()
         self.config = config
-        rng = RngState(seed)
         dim, heads, drop = config.model_dim, config.heads, config.dropout
         if config.use_visual:
             self.visual_proj = Linear(config.visual_dim, dim, rng)
@@ -377,6 +383,19 @@ _CKPT_MAGIC = b"MKCK"
 _CKPT_VERSION = 1
 
 
+class _Unfilled(RngState):
+    """Hands out uninitialised arrays in place of draws, for parameters a checkpoint is about to fill."""
+
+    def __init__(self):
+        super().__init__(0)
+
+    def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
+        return np.empty(shape)
+
+    def normal(self, shape=None, scale: float = 1.0) -> np.ndarray:
+        return np.empty(shape)
+
+
 def save_checkpoint(model: MomentModel, path: str | Path, extra: dict | None = None) -> None:
     """Write model config + parameters atomically; identical states give identical bytes."""
     path = Path(path)
@@ -387,7 +406,6 @@ def save_checkpoint(model: MomentModel, path: str | Path, extra: dict | None = N
         "params": [{"name": name, "shape": list(p.shape)} for name, p in params],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes() for _, p in params)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
@@ -395,46 +413,58 @@ def save_checkpoint(model: MomentModel, path: str | Path, extra: dict | None = N
         fh.write(struct.pack("<I", _CKPT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        fh.write(payload)
+        for _, p in params:
+            # the parameter array itself on a little-endian host: nothing is copied
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path) -> tuple[MomentModel, dict]:
-    """Rebuild a model from a checkpoint; returns (model, extra header data)."""
+    """Rebuild a model from a checkpoint; returns (model, extra header data).
+
+    Every size is checked against the file's length before anything of that
+    size is allocated or read, and the payload is read straight into the
+    parameter arrays.
+    """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        fh = open(path, "rb")
     except FileNotFoundError as exc:
         raise CheckpointError(f"{path}: checkpoint missing") from exc
-    if len(raw) < 16 or raw[:4] != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (blob_len,) = struct.unpack_from("<Q", raw, 8)
-    header_end = 16 + blob_len
-    if len(raw) < header_end:
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[16:header_end].decode("utf-8"))
-        recorded = [(r["name"], tuple(r["shape"])) for r in header["params"]]
-        config = ModelConfig.from_dict(header["config"])
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
-    model = MomentModel(config, seed=0)
-    params = model.named_parameters()
-    if [name for name, _ in recorded] != [n for n, _ in params]:
-        raise CheckpointError(f"{path}: parameter names do not match the configuration")
-    offset = header_end
-    for (_, shape), (name, p) in zip(recorded, params):
-        if shape != p.shape:
-            raise CheckpointError(f"{path}: {name} has shape {shape}, model expects {p.shape}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 8 * count
-        if end > len(raw):
-            raise CheckpointError(f"{path}: truncated payload at {name}")
-        p.data = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).astype(np.float64)
-        offset = end
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(16)
+        if len(prefix) < 16 or prefix[:4] != _CKPT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        version, blob_len = struct.unpack_from("<IQ", prefix, 4)
+        if version != _CKPT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        if blob_len > size - 16:
+            raise CheckpointError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(blob_len).decode("utf-8"))
+            recorded = [(r["name"], tuple(r["shape"])) for r in header["params"]]
+            config = ModelConfig.from_dict(header["config"])
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
+        model = MomentModel.__new__(MomentModel)
+        model._build(config, _Unfilled())
+        params = model.named_parameters()
+        if [name for name, _ in recorded] != [n for n, _ in params]:
+            raise CheckpointError(f"{path}: parameter names do not match the configuration")
+        end = 16 + blob_len
+        for (_, shape), (name, p) in zip(recorded, params):
+            if shape != p.shape:
+                raise CheckpointError(f"{path}: {name} has shape {shape}, model expects {p.shape}")
+            end += p.data.nbytes
+            if end > size:
+                raise CheckpointError(f"{path}: truncated payload at {name}")
+        if end != size:
+            raise CheckpointError(f"{path}: {size - end} trailing bytes")
+        for name, p in params:
+            dest = memoryview(p.data).cast("B")
+            if fh.readinto(dest) != len(dest):  # the file shrank since fstat
+                raise CheckpointError(f"{path}: truncated payload at {name}")
+            if sys.byteorder == "big":
+                p.data.byteswap(inplace=True)
     return model, header.get("extra", {})

@@ -102,7 +102,7 @@ class AdamW:
             scale = max_norm / norm
             for _, p in self.params:
                 if p.grad is not None:
-                    p.grad *= scale
+                    p.grad = p.grad * scale
         return norm
 
     def step(self) -> None:

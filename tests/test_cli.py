@@ -170,6 +170,10 @@ MALFORMED = {
     "saliency above one": (_rewrite_manifest, _set("samples", 0, "saliency", 0, value=7.0), DataError),
     "NaN moment window": (_rewrite_manifest, _set("samples", 0, "moments", 0, "window", value=float("nan")), DataError),
     "NaN moment center": (_rewrite_manifest, _set("samples", 0, "moments", 0, "center", value=float("nan")), DataError),
+    "non-numeric moment center": (_rewrite_manifest, _set("samples", 0, "moments", 0, "center", value="abc"), DataError),
+    "non-numeric clip_seconds": (_rewrite_manifest, _set("samples", 0, "clip_seconds", value="abc"), DataError),
+    "non-numeric saliency": (_rewrite_manifest, _set("samples", 0, "saliency", 0, value="x"), DataError),
+    "non-numeric positive_threshold": (_rewrite_manifest, _set("positive_threshold", value="abc"), DataError),
 }
 
 

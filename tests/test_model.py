@@ -1,5 +1,10 @@
 """Model assembly tests: wiring oracle, shape/degeneracy contracts, checkpoints."""
 
+import json
+import re
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -346,17 +351,68 @@ def test_checkpoint_roundtrip_and_byte_determinism(tmp_path):
     assert np.array_equal(before.heatmap.data, after.heatmap.data)
 
 
-def test_checkpoint_rejects_garbage_and_truncation(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"not a checkpoint")
-    with pytest.raises(CheckpointError, match="not a checkpoint"):
-        load_checkpoint(path)
-    with pytest.raises(CheckpointError, match="missing"):
-        load_checkpoint(tmp_path / "absent.ckpt")
+def _payload_start(raw: bytes) -> int:
+    return 16 + struct.unpack_from("<Q", raw, 8)[0]
 
+
+def _header_set(*path, value):
+    def rewrite(raw: bytes) -> bytes:
+        start = _payload_start(raw)
+        doc = json.loads(raw[16:start])
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        blob = json.dumps(doc).encode("utf-8")
+        return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[start:]
+    return rewrite
+
+
+# edit of a good checkpoint's bytes (None: delete the file) -> expected message
+CORRUPT_CHECKPOINTS = {
+    "missing file": (None, "checkpoint missing"),
+    "not a checkpoint": (lambda raw: b"not a checkpoint", "not a checkpoint"),
+    "version 2": (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:], "unsupported checkpoint version 2"),
+    "header length 2**62": (lambda raw: raw[:8] + struct.pack("<Q", 2**62) + raw[16:], "truncated header"),
+    "header not UTF-8": (lambda raw: raw[:16] + b"\xff" + raw[17:], "malformed header"),
+    "config without the audio parameters": (
+        _header_set("config", "use_audio", value=False), "parameter names do not match"),
+    "first parameter reshaped": (
+        _header_set("params", 0, "shape", value=[1, 1]), "visual_proj.weight has shape (1, 1)"),
+    "payload cut in the first parameter": (
+        lambda raw: raw[:_payload_start(raw) + 12], "truncated payload at visual_proj.weight"),
+    "payload cut in the last parameter": (lambda raw: raw[:-3], "truncated payload at offset_head.bias"),
+    "one appended byte": (lambda raw: raw + b"\0", "1 trailing bytes"),
+}
+
+
+def test_checkpoint_rejects_garbage_and_truncation(tmp_path):
     model = MomentModel(small_config(), seed=34)
     good = tmp_path / "good.ckpt"
     save_checkpoint(model, good)
-    good.write_bytes(good.read_bytes()[:-11])
-    with pytest.raises(CheckpointError, match="truncated"):
-        load_checkpoint(good)
+    for case, (edit, message) in CORRUPT_CHECKPOINTS.items():
+        path = tmp_path / f"{case}.ckpt"
+        if edit is not None:
+            path.write_bytes(edit(good.read_bytes()))
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+
+
+def test_checkpoint_save_of_a_load_reproduces_the_file(tmp_path):
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(MomentModel(small_config(), seed=35), first, extra={"epochs": 2, "loss_history": [0.5, 0.25]})
+    model, extra = load_checkpoint(first)
+    save_checkpoint(model, second, extra=extra)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_checkpoint_load_holds_about_one_copy_of_the_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(MomentModel(small_config(model_dim=128, max_len=256), seed=36), path)
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * path.stat().st_size

@@ -1,8 +1,11 @@
 """Training loop, optimizer, evaluation, and prediction plumbing."""
 
+import math
+
 import numpy as np
 import pytest
 
+from momentkit import autograd as ag
 from momentkit.autograd import NumericError, Tensor
 from momentkit.data import DataError, SynthConfig, VideoSample, synthesize_dataset
 from momentkit.decode import read_predictions
@@ -69,6 +72,19 @@ def test_gradient_clipping_scales_to_max_norm():
     p.grad = np.array([0.1, 0.0])
     assert opt.clip_gradients(1.0) == pytest.approx(0.1)
     np.testing.assert_allclose(p.grad, [0.1, 0.0])  # below the cap: untouched
+
+
+def test_gradient_clipping_scales_shared_gradients_once():
+    # ``add`` hands one upstream gradient to both leaves, so their gradients may share memory
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.full(3, 2.0), requires_grad=True)
+    weights = np.array([3.0, 4.0, 0.0])
+    ag.backward(ag.sum_(ag.mul(ag.add(a, b), weights)))
+    opt = AdamW([("a", a), ("b", b)])
+    assert opt.clip_gradients(1.0) == pytest.approx(math.sqrt(50.0))
+    scale = 1.0 / math.sqrt(50.0)
+    assert np.array_equal(a.grad, weights * scale)
+    assert np.array_equal(b.grad, weights * scale)
 
 
 # ---------------------------------------------------------------------------
