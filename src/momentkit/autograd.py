@@ -17,7 +17,6 @@ Design constraints:
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -121,10 +120,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array. Treat as read-only."""
-        return self.data
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
@@ -163,10 +158,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def _coerce(value) -> Tensor:
@@ -304,10 +295,9 @@ def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def mean(a: Tensor) -> Tensor:
     a = _coerce(a)
-    n = a.data.size if axis is None else a.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(sum_(a), 1.0 / a.data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +469,8 @@ def softmax(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row to zero mean / unit variance, then apply an affine map.
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize each row to zero mean / unit variance (eps 1e-5), then apply an affine map.
 
     1-D input is treated as a single row. ``gain`` and ``bias`` must match the
     trailing (normalized) dimension.
@@ -496,7 +486,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match normalized dim {dim}"
         )
     centred = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + 1e-5)
     xhat = centred * inv
     data = xhat * gain.data + bias.data
     if squeeze:

@@ -59,15 +59,12 @@ def _uniform_init(rng: RngState, fan_in: int, shape) -> Tensor:
 class Linear(Module):
     """Affine map y = x W + b with uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: RngState, bias: bool = True):
+    def __init__(self, in_dim: int, out_dim: int, rng: RngState):
         self.weight = _uniform_init(rng, in_dim, (in_dim, out_dim))
-        self.bias = _uniform_init(rng, in_dim, (out_dim,)) if bias else None
+        self.bias = _uniform_init(rng, in_dim, (out_dim,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ag.matmul(x, self.weight)
-        if self.bias is not None:
-            out = ag.add(out, self.bias)
-        return out
+        return ag.add(ag.matmul(x, self.weight), self.bias)
 
 
 class LayerNorm(Module):
@@ -82,9 +79,9 @@ class LayerNorm(Module):
 class PositionalEncoding(Module):
     """Learnable per-index encoding table; rows(n) returns the first n rows."""
 
-    def __init__(self, max_len: int, dim: int, rng: RngState, scale: float = 0.02):
+    def __init__(self, max_len: int, dim: int, rng: RngState):
         self.max_len = max_len
-        self.table = Tensor(rng.normal((max_len, dim), scale=scale), requires_grad=True)
+        self.table = Tensor(rng.normal((max_len, dim), scale=0.02), requires_grad=True)
 
     def rows(self, n: int) -> Tensor:
         if n > self.max_len:
@@ -95,9 +92,9 @@ class PositionalEncoding(Module):
 class BottleneckTokens(Module):
     """Learnable seed values for the cross-modal bottleneck (n_tokens, dim)."""
 
-    def __init__(self, n_tokens: int, dim: int, rng: RngState, scale: float = 0.02):
+    def __init__(self, n_tokens: int, dim: int, rng: RngState):
         self.n_tokens = n_tokens
-        self.tokens = Tensor(rng.normal((n_tokens, dim), scale=scale), requires_grad=True)
+        self.tokens = Tensor(rng.normal((n_tokens, dim), scale=0.02), requires_grad=True)
 
     def value(self) -> Tensor:
         # a node per call sums each sample's token gradients before they reach
@@ -152,9 +149,7 @@ def attention(
     weights = ag.softmax(ag.matmul(q, k_t), axis=-1, scale=scale)
     mixed = ag.transpose(ag.matmul(weights, v), (1, 0, 2))
     out = ag.matmul(ag.reshape(mixed, (mixed.shape[0], params.dim)), params.w_z)
-    if drop_rate > 0.0:
-        out = ag.dropout(out, drop_rate, rng, training)
-    return ag.add(residual, out)
+    return ag.add(residual, ag.dropout(out, drop_rate, rng, training))
 
 
 def self_attention(
@@ -226,9 +221,9 @@ def expand(
 class FeedForward(Module):
     """Position-wise two-layer MLP (ReLU, 4x hidden) with a residual connection."""
 
-    def __init__(self, dim: int, rng: RngState, hidden_mult: int = 4, drop_rate: float = 0.0):
-        self.lin1 = Linear(dim, hidden_mult * dim, rng)
-        self.lin2 = Linear(hidden_mult * dim, dim, rng)
+    def __init__(self, dim: int, rng: RngState, drop_rate: float = 0.0):
+        self.lin1 = Linear(dim, 4 * dim, rng)
+        self.lin2 = Linear(4 * dim, dim, rng)
         self.drop_rate = drop_rate
 
     def __call__(
@@ -239,10 +234,6 @@ class FeedForward(Module):
         training: bool = False,
     ) -> Tensor:
         h = norm(x) if norm is not None else x
-        h = ag.relu(self.lin1(h))
-        if self.drop_rate > 0.0:
-            h = ag.dropout(h, self.drop_rate, rng, training)
-        h = self.lin2(h)
-        if self.drop_rate > 0.0:
-            h = ag.dropout(h, self.drop_rate, rng, training)
+        h = ag.dropout(ag.relu(self.lin1(h)), self.drop_rate, rng, training)
+        h = ag.dropout(self.lin2(h), self.drop_rate, rng, training)
         return ag.add(x, h)

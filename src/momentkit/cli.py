@@ -24,25 +24,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import NumericError, RngState, Tensor
+from .autograd import NumericError
 from .bench import scaling_report
 from .data import (
     DataError,
+    FeatureSequence,
     MomentAnnotation,
     SynthConfig,
+    VideoSample,
     load_dataset,
     save_dataset,
     synthesize_dataset,
 )
 from .fdcheck import check_gradients
-from .losses import (
-    LossWeights,
-    build_targets,
-    focal_center_loss,
-    regression_losses,
-    saliency_loss,
-    total_loss,
-)
+from .losses import LossWeights, build_targets
 from .model import (
     CheckpointError,
     ConfigError,
@@ -50,7 +45,7 @@ from .model import (
     MomentModel,
     load_checkpoint,
 )
-from .train import TrainConfig, evaluate, predict, train
+from .train import TrainConfig, evaluate, predict, sample_loss, train
 
 GRADCHECK_DEFAULTS = dict(
     model_dim=8, heads=2, uni_layers=1, cross_layers=1, decoder_layers=1,
@@ -188,23 +183,18 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(seed)
     n_clips = max(4, cfg.n_bottleneck)
     feats = {
-        "visual": Tensor(rng.normal(size=(n_clips, cfg.visual_dim))) if cfg.use_visual else None,
-        "audio": Tensor(rng.normal(size=(n_clips, cfg.audio_dim))) if cfg.use_audio else None,
-        "text": Tensor(rng.normal(size=(3, cfg.text_dim))) if cfg.use_text else None,
+        mod: FeatureSequence(rng.normal(size=(rows, getattr(cfg, f"{mod}_dim"))), mod)
+        for mod, rows in (("visual", n_clips), ("audio", n_clips), ("text", 3))
+        if getattr(cfg, f"use_{mod}")
     }
-    targets = build_targets(
-        [MomentAnnotation(center=n_clips / 2.0, window=2.0)],
-        rng.uniform(0.1, 0.9, size=n_clips), n_clips,
+    sample = VideoSample(
+        "gradcheck", 1.0, **feats, moments=[MomentAnnotation(center=n_clips / 2.0, window=2.0)],
+        saliency=rng.uniform(0.1, 0.9, size=n_clips),
     )
+    targets = build_targets(sample.moments, sample.saliency, n_clips)
 
     def loss_fn():
-        joint = model.encode_features(feats["visual"], feats["audio"])
-        queries = model.generate_queries(joint, feats["text"])
-        preds = model.decode(joint, queries)
-        l_s = saliency_loss(preds.saliency, targets.saliency_targets)
-        l_c = focal_center_loss(preds.heatmap, targets.heatmap, targets.n_moments)
-        l_w, l_o = regression_losses(preds.window, preds.offset, targets)
-        return total_loss(l_s, l_c, l_w, l_o)
+        return sample_loss(model, sample, targets, LossWeights(), rng=None, training=False)[0]
 
     report = check_gradients(
         loss_fn, model.named_parameters(),

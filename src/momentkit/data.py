@@ -91,13 +91,6 @@ class FeatureSequence:
     def dim(self) -> int:
         return self.array.shape[1]
 
-    @classmethod
-    def load(cls, path: str | Path, modality: str = "visual") -> "FeatureSequence":
-        return cls(read_matrix(path), modality)
-
-    def save(self, path: str | Path) -> None:
-        write_matrix(path, self.array)
-
 
 @dataclass
 class MomentAnnotation:
@@ -193,7 +186,7 @@ def save_dataset(root: str | Path, samples: list[VideoSample], positive_threshol
             if seq is None:
                 continue
             rel = f"features/{s.video_id}.{mod}.bin"
-            seq.save(root / rel)
+            write_matrix(root / rel, seq.array)
             rec[f"{mod}_path"] = rel
         if s.saliency is not None:
             rec["saliency"] = [float(v) for v in s.saliency]
@@ -240,16 +233,17 @@ def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
         for mod in MODALITIES:
             rel = rec.get(f"{mod}_path")
             try:
-                seqs[mod] = FeatureSequence.load(root / rel, mod) if rel else None
+                seqs[mod] = FeatureSequence(read_matrix(root / rel), mod) if rel else None
             except DataError as exc:
                 raise DataError(f"sample {vid}: {exc}") from exc
         moments = []
         for m in rec.get("moments", []):
             try:
-                center, window = float(m["center"]) - base, float(m["window"])
+                moments.append(MomentAnnotation(float(m["center"]) - base, float(m["window"])))
+            except DataError as exc:
+                raise DataError(f"sample {vid}: {exc}") from exc
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"sample {vid}: moment record {m} needs a numeric center and window") from exc
-            moments.append(MomentAnnotation(center, window))
         try:
             samples.append(
                 VideoSample(

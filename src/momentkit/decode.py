@@ -91,10 +91,10 @@ def decode_predictions(
     window: np.ndarray,
     offset: np.ndarray,
     clip_seconds: float,
-    mode: str = "local_maxima",
     top_k: int = 10,
 ) -> list[MomentPrediction]:
-    centers = extract_centers(heatmap, mode=mode, top_k=top_k)
+    """Local-maximum centers of the heatmap, composed into ranked intervals."""
+    centers = extract_centers(heatmap, top_k=top_k)
     return compose_moments(centers, heatmap, window, offset, clip_seconds)
 
 
@@ -112,7 +112,7 @@ def roundtrip(targets: TargetSet, clip_seconds: float = 1.0) -> list[MomentPredi
     offset = np.zeros(n)
     window[targets.center_indices] = targets.window_targets
     offset[targets.center_indices] = targets.offset_targets
-    return decode_predictions(targets.heatmap, window, offset, clip_seconds, mode="local_maxima", top_k=n)
+    return decode_predictions(targets.heatmap, window, offset, clip_seconds, top_k=n)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ on the order of 1e-7 rather than an infinity.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

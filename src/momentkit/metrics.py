@@ -19,7 +19,7 @@ lower index for intervals, lower index for clips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

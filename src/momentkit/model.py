@@ -32,6 +32,7 @@ initialisation, and reads the payload straight into the parameter arrays.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import sys
@@ -102,6 +103,9 @@ class ModelConfig:
         for name in ("uni_layers", "cross_layers", "decoder_layers", "query_layers", "n_bottleneck", "max_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        for name in ("dropout", "pre_dropout_av", "pre_dropout_text"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -384,15 +388,25 @@ _CKPT_VERSION = 1
 
 
 class _Unfilled(RngState):
-    """Hands out uninitialised arrays in place of draws, for parameters a checkpoint is about to fill."""
+    """Hands out uninitialised arrays in place of draws, for parameters a checkpoint is about to fill.
 
-    def __init__(self):
+    The arrays may hold at most ``payload`` bytes in all, so a header whose
+    configuration needs more parameters than the file holds fails before the
+    allocation that would exceed it.
+    """
+
+    def __init__(self, path: Path, payload: int):
         super().__init__(0)
+        self.path = path
+        self.remaining = payload
 
     def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
-        return np.empty(shape)
+        return self.normal(shape)
 
     def normal(self, shape=None, scale: float = 1.0) -> np.ndarray:
+        self.remaining -= 8 * math.prod(shape)
+        if self.remaining < 0:
+            raise CheckpointError(f"{self.path}: config needs more parameters than the file holds")
         return np.empty(shape)
 
 
@@ -447,18 +461,21 @@ def load_checkpoint(path: str | Path) -> tuple[MomentModel, dict]:
             config = ModelConfig.from_dict(header["config"])
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
+        if not all(type(d) is int and d >= 0 for _, shape in recorded for d in shape):
+            raise CheckpointError(f"{path}: malformed header (parameter shapes must be non-negative integers)")
+        end = 16 + blob_len
+        for name, shape in recorded:
+            end += 8 * math.prod(shape)
+            if end > size:
+                raise CheckpointError(f"{path}: truncated payload at {name}")
         model = MomentModel.__new__(MomentModel)
-        model._build(config, _Unfilled())
+        model._build(config, _Unfilled(path, size - 16 - blob_len))
         params = model.named_parameters()
         if [name for name, _ in recorded] != [n for n, _ in params]:
             raise CheckpointError(f"{path}: parameter names do not match the configuration")
-        end = 16 + blob_len
         for (_, shape), (name, p) in zip(recorded, params):
             if shape != p.shape:
                 raise CheckpointError(f"{path}: {name} has shape {shape}, model expects {p.shape}")
-            end += p.data.nbytes
-            if end > size:
-                raise CheckpointError(f"{path}: truncated payload at {name}")
         if end != size:
             raise CheckpointError(f"{path}: {size - end} trailing bytes")
         for name, p in params:

@@ -22,7 +22,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import NumericError, RngState, Tensor
 from .data import DataError, VideoSample
-from .decode import MomentPrediction, PredictionRecord, decode_predictions, write_predictions
+from .decode import PredictionRecord, decode_predictions, write_predictions
 from .losses import (
     LossWeights,
     build_targets,
@@ -78,12 +78,11 @@ class AdamW:
     strength does not depend on gradient magnitudes.
     """
 
-    def __init__(self, params, lr: float = 1e-3, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 1e-4):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr: float = 1e-3, weight_decay: float = 1e-4):
         self.params: list[tuple[str, Tensor]] = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for _, p in self.params]
@@ -126,8 +125,9 @@ class TrainResult:
     checkpoints: list[Path]
 
 
-def _sample_losses(model: MomentModel, sample: VideoSample, targets, weights: LossWeights,
-                   rng: RngState | None, training: bool):
+def sample_loss(model: MomentModel, sample: VideoSample, targets, weights: LossWeights,
+                rng: RngState | None, training: bool):
+    """Weighted training loss of one sample, plus its four unweighted components."""
     preds = model.forward(sample, rng=rng, training=training)
     l_s = saliency_loss(preds.saliency, targets.saliency_targets)
     l_c = focal_center_loss(preds.heatmap, targets.heatmap, targets.n_moments, weights)
@@ -160,7 +160,7 @@ def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
             total: Tensor | None = None
             comps = np.zeros(4)
             for idx in batch:
-                sample_total, parts = _sample_losses(
+                sample_total, parts = sample_loss(
                     model, samples[idx], targets[idx], weights, drop_rng, training=True
                 )
                 total = sample_total if total is None else ag.add(total, sample_total)
@@ -205,51 +205,37 @@ def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
 
 
 def evaluate(model: MomentModel, samples: list[VideoSample], tasks: str = "both",
-             mode: str = "local_maxima", top_k: int = 10) -> EvalReport:
-    """Score the model on annotated samples for the selected task mix."""
+             top_k: int = 10) -> EvalReport:
+    """Score ``predict``'s records on annotated samples for the selected task mix."""
     if tasks not in TASKS:
         raise ValueError(f"tasks must be one of {TASKS}, got {tasks!r}")
     if not samples:
         raise DataError("evaluation needs at least one sample")
-    need_mr = tasks in ("mr", "both")
-    need_hd = tasks in ("hd", "both")
-    if need_mr and not any(s.moments for s in samples):
+    if tasks in ("mr", "both") and not any(s.moments for s in samples):
         raise DataError("moment retrieval evaluation needs at least one annotated moment")
-    if need_hd:
+    if tasks in ("hd", "both"):
         for s in samples:
             if s.saliency is None:
                 raise DataError(f"{s.video_id}: highlight evaluation needs saliency annotations")
-    preds_q: list[list[MomentPrediction]] = []
-    gts_q: list[list[tuple[float, float]]] = []
-    sal_v: list[np.ndarray] = []
-    pos_v: list[np.ndarray] = []
-    with ag.no_grad():
-        for s in samples:
-            preds = model.forward(s)
-            if need_mr:
-                preds_q.append(
-                    decode_predictions(
-                        preds.heatmap.data, preds.window.data, preds.offset.data,
-                        s.clip_seconds, mode=mode, top_k=top_k,
-                    )
-                )
-                gts_q.append([m.span_seconds(s.clip_seconds) for m in s.moments])
-            if need_hd:
-                sal_v.append(preds.saliency.data.copy())
-                pos_v.append(s.positive_flags())
-    return build_report(preds_q or None, gts_q or None, sal_v or None, pos_v or None, tasks=tasks)
+    records = predict(model, samples, top_k=top_k)
+    return build_report(
+        [r.moments for r in records],
+        [[m.span_seconds(s.clip_seconds) for m in s.moments] for s in samples],
+        [np.array(r.saliency) for r in records],
+        [s.positive_flags() for s in samples],
+        tasks=tasks,
+    )
 
 
 def predict(model: MomentModel, samples: list[VideoSample], output_path: str | Path | None = None,
-            mode: str = "local_maxima", top_k: int = 10) -> list[PredictionRecord]:
+            top_k: int = 10) -> list[PredictionRecord]:
     """Run inference and optionally write the JSON-lines interchange format."""
     records: list[PredictionRecord] = []
     with ag.no_grad():
         for s in samples:
             preds = model.forward(s)
             moments = decode_predictions(
-                preds.heatmap.data, preds.window.data, preds.offset.data,
-                s.clip_seconds, mode=mode, top_k=top_k,
+                preds.heatmap.data, preds.window.data, preds.offset.data, s.clip_seconds, top_k=top_k
             )
             records.append(
                 PredictionRecord(s.video_id, moments, [float(v) for v in preds.saliency.data])

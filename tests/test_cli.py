@@ -8,7 +8,14 @@ import pytest
 from momentkit.cli import main, parse_config_file, section
 from momentkit.data import DataError, load_dataset
 from momentkit.decode import read_predictions
-from momentkit.model import CheckpointError, ModelConfig, MomentModel, load_checkpoint, save_checkpoint
+from momentkit.model import (
+    CheckpointError,
+    ConfigError,
+    ModelConfig,
+    MomentModel,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 TINY_CONFIG = """\
 # tiny end-to-end setup
@@ -163,6 +170,9 @@ MALFORMED = {
     "checkpoint header without config": (_rewrite_checkpoint_header, _drop("config"), CheckpointError),
     "checkpoint header without params": (_rewrite_checkpoint_header, _drop("params"), CheckpointError),
     "checkpoint header not an object": (_rewrite_checkpoint_header, lambda doc: [doc], CheckpointError),
+    "checkpoint config max_len 2**45": (
+        _rewrite_checkpoint_header, _set("config", "max_len", value=2**45), CheckpointError),
+    "checkpoint config dropout 1.5": (_rewrite_checkpoint_header, _set("config", "dropout", value=1.5), ConfigError),
     "manifest without samples": (_rewrite_manifest, _drop("samples"), DataError),
     "manifest not an object": (_rewrite_manifest, lambda doc: [doc], DataError),
     "negative clip_seconds": (_rewrite_manifest, _set("samples", 0, "clip_seconds", value=-1), DataError),

@@ -106,6 +106,14 @@ def test_manifest_validation_errors(tmp_path):
 
 def test_load_errors_name_the_offending_sample(tmp_path):
     manifest_path = dio.save_dataset(tmp_path, [make_sample("v0"), make_sample("v1")])
+    manifest = manifest_path.read_text()
+    for field in ("center", "window"):
+        doc = json.loads(manifest)
+        doc["samples"][1]["moments"][0][field] = float("nan")
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(dio.DataError, match="sample v1: moment needs a finite center"):
+            dio.load_dataset(manifest_path)
+    manifest_path.write_text(manifest)
     (tmp_path / "features" / "v1.audio.bin").unlink()
     with pytest.raises(dio.DataError, match="v1"):
         dio.load_dataset(manifest_path)

@@ -299,6 +299,12 @@ def test_config_validation():
         ModelConfig(fusion="max").validate()
     with pytest.raises(ConfigError):
         ModelConfig.from_dict({"model_dim": 8, "heads": 2, "no_such_field": 1})
+    for field, rate in (("dropout", -0.5), ("dropout", 1.5), ("pre_dropout_av", -0.2),
+                        ("pre_dropout_text", 1.0), ("dropout", float("nan"))):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{field: rate}).validate()
+        with pytest.raises(ConfigError, match=field):
+            MomentModel(small_config(**{field: rate}))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +389,10 @@ CORRUPT_CHECKPOINTS = {
         lambda raw: raw[:_payload_start(raw) + 12], "truncated payload at visual_proj.weight"),
     "payload cut in the last parameter": (lambda raw: raw[:-3], "truncated payload at offset_head.bias"),
     "one appended byte": (lambda raw: raw + b"\0", "1 trailing bytes"),
+    "negative shape entry": (_header_set("params", 0, "shape", value=[-1, 8]), "malformed header"),
+    "fractional shape entry": (_header_set("params", 0, "shape", value=[1.5, 8]), "malformed header"),
+    "config max_len 2**45": (
+        _header_set("config", "max_len", value=2**45), "config needs more parameters than the file holds"),
 }
 
 

@@ -212,16 +212,18 @@ def test_predict_roundtrips_through_the_metrics_module(tmp_path):
     assert [r.video_id for r in parsed] == [s.video_id for s in samples]
     for rec, s in zip(parsed, samples):
         assert len(rec.saliency) == s.n_clips
-    report = build_report(
+    columns = (
         [r.moments for r in parsed],
         [[m.span_seconds(s.clip_seconds) for m in s.moments] for s in samples],
         [np.array(r.saliency) for r in parsed],
         [s.positive_flags() for s in samples],
-        tasks="both",
     )
+    report = build_report(*columns, tasks="both")
     assert report.map_avg is not None and report.hit_at_1 is not None
     for a, b in zip(records, parsed):
         assert a.to_json_line() == b.to_json_line()
+    for tasks in ("both", "mr", "hd"):
+        assert evaluate(model, samples, tasks).as_dict() == build_report(*columns, tasks=tasks).as_dict()
 
 
 def test_predict_rejects_modality_mismatch():
