@@ -89,10 +89,6 @@ class RngState:
         self.position += 1
         return self._gen.integers(low, high, size=size)
 
-    def permutation(self, n: int) -> np.ndarray:
-        self.position += 1
-        return self._gen.permutation(n)
-
 
 def _as_array(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
@@ -503,18 +499,18 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make(data, (a, gain, bias), backward)
 
 
-def dropout(a: Tensor, rate: float, rng: RngState, training: bool) -> Tensor:
-    """Zero elements with probability ``rate`` and rescale survivors in training.
+def dropout(a: Tensor, rate: float, rng: RngState | None) -> Tensor:
+    """Zero elements with probability ``rate`` and rescale survivors.
 
-    Evaluation mode is the identity and consumes no randomness.
+    Dropout runs exactly when a stream is passed: with ``rng=None`` (or a zero
+    rate) it returns ``a`` itself and draws nothing; otherwise it draws one
+    mask from ``rng``. The rate is checked either way.
     """
     a = _coerce(a)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return a
-    if rng is None:
-        raise ValueError("dropout in training mode requires an rng")
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
 
     def backward(g):

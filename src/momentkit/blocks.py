@@ -14,6 +14,10 @@ with a_ij = softmax_j((q_i W_q) · (k_j W_k)), all heads computed as one
 *inputs* of the query/key projections only — never to the values — and each
 wiring chooses which side receives them.
 
+Each ``AttentionParams`` and ``FeedForward`` owns its dropout rate. Dropout
+runs exactly when a dropout stream (``rng``) is passed: training passes one,
+inference passes none and draws nothing.
+
 Sequences are (N, dim) float64 tensors; one sample at a time.
 """
 
@@ -46,9 +50,6 @@ class Module:
                     elif isinstance(item, Tensor) and item.requires_grad:
                         found.append((f"{full}.{i}", item))
         return found
-
-    def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
 
 
 def _uniform_init(rng: RngState, fan_in: int, shape) -> Tensor:
@@ -103,14 +104,15 @@ class BottleneckTokens(Module):
 
 
 class AttentionParams(Module):
-    """Projection weights for one multi-head attention block (no biases)."""
+    """Projection weights (no biases) and output dropout rate of one multi-head attention block."""
 
-    def __init__(self, dim: int, n_heads: int, rng: RngState):
+    def __init__(self, dim: int, n_heads: int, rng: RngState, drop_rate: float = 0.0):
         if dim % n_heads != 0:
             raise ShapeError(f"model dim {dim} is not divisible by head count {n_heads}")
         self.dim = dim
         self.n_heads = n_heads
         self.head_dim = dim // n_heads
+        self.drop_rate = drop_rate
         self.w_q = _uniform_init(rng, dim, (dim, dim))
         self.w_k = _uniform_init(rng, dim, (dim, dim))
         self.w_v = _uniform_init(rng, dim, (dim, dim))
@@ -125,9 +127,7 @@ def attention(
     q_pos: Tensor | None = None,
     k_pos: Tensor | None = None,
     scaled: bool = True,
-    drop_rate: float = 0.0,
     rng: RngState | None = None,
-    training: bool = False,
 ) -> Tensor:
     """Multi-head attention of ``q_in`` over ``kv_in`` with a residual connection.
 
@@ -149,7 +149,7 @@ def attention(
     weights = ag.softmax(ag.matmul(q, k_t), axis=-1, scale=scale)
     mixed = ag.transpose(ag.matmul(weights, v), (1, 0, 2))
     out = ag.matmul(ag.reshape(mixed, (mixed.shape[0], params.dim)), params.w_z)
-    return ag.add(residual, ag.dropout(out, drop_rate, rng, training))
+    return ag.add(residual, ag.dropout(out, params.drop_rate, rng))
 
 
 def self_attention(
@@ -158,16 +158,11 @@ def self_attention(
     pos: Tensor | None = None,
     norm: LayerNorm | None = None,
     scaled: bool = True,
-    drop_rate: float = 0.0,
     rng: RngState | None = None,
-    training: bool = False,
 ) -> Tensor:
     """Within-sequence attention; the positional encoding feeds both queries and keys."""
     h = norm(x) if norm is not None else x
-    return attention(
-        params, h, h, residual=x, q_pos=pos, k_pos=pos,
-        scaled=scaled, drop_rate=drop_rate, rng=rng, training=training,
-    )
+    return attention(params, h, h, residual=x, q_pos=pos, k_pos=pos, scaled=scaled, rng=rng)
 
 
 def compress(
@@ -178,9 +173,7 @@ def compress(
     norm_x: LayerNorm | None = None,
     norm_z: LayerNorm | None = None,
     scaled: bool = True,
-    drop_rate: float = 0.0,
     rng: RngState | None = None,
-    training: bool = False,
 ) -> Tensor:
     """Bottleneck tokens z attend over sequence x: z_i' = z_i + W_z sum_j a_ij v_j.
 
@@ -188,10 +181,7 @@ def compress(
     """
     hq = norm_z(z) if norm_z is not None else z
     hx = norm_x(x) if norm_x is not None else x
-    return attention(
-        params, hq, hx, residual=z, q_pos=None, k_pos=pos,
-        scaled=scaled, drop_rate=drop_rate, rng=rng, training=training,
-    )
+    return attention(params, hq, hx, residual=z, q_pos=None, k_pos=pos, scaled=scaled, rng=rng)
 
 
 def expand(
@@ -202,9 +192,7 @@ def expand(
     norm_x: LayerNorm | None = None,
     norm_z: LayerNorm | None = None,
     scaled: bool = True,
-    drop_rate: float = 0.0,
     rng: RngState | None = None,
-    training: bool = False,
 ) -> Tensor:
     """Sequence x reads the fused bottleneck z back out: x_i' = x_i + W_z sum_j a_ij v_j.
 
@@ -212,10 +200,7 @@ def expand(
     """
     hq = norm_x(x) if norm_x is not None else x
     hz = norm_z(z) if norm_z is not None else z
-    return attention(
-        params, hq, hz, residual=x, q_pos=pos, k_pos=None,
-        scaled=scaled, drop_rate=drop_rate, rng=rng, training=training,
-    )
+    return attention(params, hq, hz, residual=x, q_pos=pos, k_pos=None, scaled=scaled, rng=rng)
 
 
 class FeedForward(Module):
@@ -226,14 +211,8 @@ class FeedForward(Module):
         self.lin2 = Linear(4 * dim, dim, rng)
         self.drop_rate = drop_rate
 
-    def __call__(
-        self,
-        x: Tensor,
-        norm: LayerNorm | None = None,
-        rng: RngState | None = None,
-        training: bool = False,
-    ) -> Tensor:
+    def __call__(self, x: Tensor, norm: LayerNorm | None = None, rng: RngState | None = None) -> Tensor:
         h = norm(x) if norm is not None else x
-        h = ag.dropout(ag.relu(self.lin1(h)), self.drop_rate, rng, training)
-        h = ag.dropout(self.lin2(h), self.drop_rate, rng, training)
+        h = ag.dropout(ag.relu(self.lin1(h)), self.drop_rate, rng)
+        h = ag.dropout(self.lin2(h), self.drop_rate, rng)
         return ag.add(x, h)

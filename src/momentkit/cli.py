@@ -17,9 +17,10 @@ machine-parsable JSON error line to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +81,26 @@ def section(doc: dict[str, object], prefix: str) -> dict[str, object]:
     return {k[len(prefix) + 1:]: v for k, v in doc.items() if k.startswith(prefix + ".")}
 
 
+def _fits(value: object, hint) -> bool:
+    """Whether ``value`` has the declared field type; booleans are not numbers here."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 def _build(dc_cls, fields: dict[str, object], label: str):
-    valid = {f.name for f in dataclasses.fields(dc_cls)}
-    unknown = sorted(set(fields) - valid)
+    hints = typing.get_type_hints(dc_cls)
+    unknown = sorted(set(fields) - set(hints))
     if unknown:
         raise DataError(f"unknown {label} settings: {', '.join(unknown)}")
+    for name, value in fields.items():
+        hint = hints[name]
+        if not _fits(value, hint):
+            raise DataError(f"{label}.{name} must be {getattr(hint, '__name__', hint)}, got {json.dumps(value)}")
     return dc_cls(**fields)
 
 
@@ -102,9 +118,7 @@ def _model_config(doc: dict[str, object], samples) -> ModelConfig:
             fields.setdefault(f"use_{mod}", seq is not None)
             if seq is not None:
                 fields.setdefault(f"{mod}_dim", seq.dim)
-    cfg = _build(ModelConfig, fields, "model")
-    cfg.validate()
-    return cfg
+    return _build(ModelConfig, fields, "model")
 
 
 def _train_config(doc: dict[str, object], seed: int | None) -> TrainConfig:
@@ -177,7 +191,6 @@ def cmd_gradcheck(args) -> int:
     doc = _load_config(args)
     fields = {**GRADCHECK_DEFAULTS, **section(doc, "model")}
     cfg = _build(ModelConfig, fields, "model")
-    cfg.validate()
     seed = args.seed if args.seed is not None else 0
     model = MomentModel(cfg, seed=seed)
     rng = np.random.default_rng(seed)
@@ -194,7 +207,7 @@ def cmd_gradcheck(args) -> int:
     targets = build_targets(sample.moments, sample.saliency, n_clips)
 
     def loss_fn():
-        return sample_loss(model, sample, targets, LossWeights(), rng=None, training=False)[0]
+        return sample_loss(model, sample, targets, LossWeights(), rng=None)[0]
 
     report = check_gradients(
         loss_fn, model.named_parameters(),

@@ -96,13 +96,14 @@ class ModelConfig:
     def validate(self) -> None:
         if not (self.use_visual or self.use_audio):
             raise ConfigError("at least one of use_visual/use_audio must be enabled")
+        for name in ("model_dim", "heads", "uni_layers", "cross_layers", "decoder_layers", "query_layers",
+                     "n_bottleneck", "max_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if self.model_dim % self.heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by heads {self.heads}")
         if self.fusion not in FUSION_MODES:
             raise ConfigError(f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
-        for name in ("uni_layers", "cross_layers", "decoder_layers", "query_layers", "n_bottleneck", "max_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
         for name in ("dropout", "pre_dropout_av", "pre_dropout_text"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
@@ -134,18 +135,14 @@ class UniModalLayer(Module):
     """Pre-norm self-attention + feed-forward over one modality's sequence."""
 
     def __init__(self, dim: int, heads: int, drop: float, rng: RngState):
-        self.attn = AttentionParams(dim, heads, rng)
+        self.attn = AttentionParams(dim, heads, rng, drop_rate=drop)
         self.norm_attn = LayerNorm(dim)
         self.ff = FeedForward(dim, rng, drop_rate=drop)
         self.norm_ff = LayerNorm(dim)
-        self.drop = drop
 
-    def __call__(self, x, pos, scaled, rng, training):
-        x = self_attention(
-            x, self.attn, pos=pos, norm=self.norm_attn,
-            scaled=scaled, drop_rate=self.drop, rng=rng, training=training,
-        )
-        return self.ff(x, norm=self.norm_ff, rng=rng, training=training)
+    def __call__(self, x, pos, scaled, rng):
+        x = self_attention(x, self.attn, pos=pos, norm=self.norm_attn, scaled=scaled, rng=rng)
+        return self.ff(x, norm=self.norm_ff, rng=rng)
 
 
 class CrossModalLayer(Module):
@@ -158,10 +155,10 @@ class CrossModalLayer(Module):
     """
 
     def __init__(self, dim: int, heads: int, drop: float, rng: RngState, share_weights: bool):
-        self.compress_visual = AttentionParams(dim, heads, rng)
-        self.expand_visual = AttentionParams(dim, heads, rng)
-        self.compress_audio = None if share_weights else AttentionParams(dim, heads, rng)
-        self.expand_audio = None if share_weights else AttentionParams(dim, heads, rng)
+        self.compress_visual = AttentionParams(dim, heads, rng, drop_rate=drop)
+        self.expand_visual = AttentionParams(dim, heads, rng, drop_rate=drop)
+        self.compress_audio = None if share_weights else AttentionParams(dim, heads, rng, drop_rate=drop)
+        self.expand_audio = None if share_weights else AttentionParams(dim, heads, rng, drop_rate=drop)
         self.norm_z_compress_visual = LayerNorm(dim)
         self.norm_x_compress_visual = LayerNorm(dim)
         self.norm_z_compress_audio = LayerNorm(dim)
@@ -174,10 +171,9 @@ class CrossModalLayer(Module):
         self.norm_ff_visual = LayerNorm(dim)
         self.ff_audio = FeedForward(dim, rng, drop_rate=drop)
         self.norm_ff_audio = LayerNorm(dim)
-        self.drop = drop
 
-    def __call__(self, vis, aud, z, vis_pos, aud_pos, scaled, rng, training):
-        kw = dict(scaled=scaled, drop_rate=self.drop, rng=rng, training=training)
+    def __call__(self, vis, aud, z, vis_pos, aud_pos, scaled, rng):
+        kw = dict(scaled=scaled, rng=rng)
         z = compress(vis, z, self.compress_visual, pos=vis_pos,
                      norm_x=self.norm_x_compress_visual, norm_z=self.norm_z_compress_visual, **kw)
         z = compress(aud, z, self.compress_audio or self.compress_visual, pos=aud_pos,
@@ -186,8 +182,8 @@ class CrossModalLayer(Module):
                      norm_x=self.norm_x_expand_visual, norm_z=self.norm_z_expand_visual, **kw)
         aud = expand(aud, z, self.expand_audio or self.expand_visual, pos=aud_pos,
                      norm_x=self.norm_x_expand_audio, norm_z=self.norm_z_expand_audio, **kw)
-        vis = self.ff_visual(vis, norm=self.norm_ff_visual, rng=rng, training=training)
-        aud = self.ff_audio(aud, norm=self.norm_ff_audio, rng=rng, training=training)
+        vis = self.ff_visual(vis, norm=self.norm_ff_visual, rng=rng)
+        aud = self.ff_audio(aud, norm=self.norm_ff_audio, rng=rng)
         return vis, aud, z
 
 
@@ -195,18 +191,14 @@ class QueryGeneratorLayer(Module):
     """Clip-aligned queries: the joint sequence attends into the text tokens."""
 
     def __init__(self, dim: int, heads: int, drop: float, rng: RngState):
-        self.attn = AttentionParams(dim, heads, rng)
+        self.attn = AttentionParams(dim, heads, rng, drop_rate=drop)
         self.norm_joint = LayerNorm(dim)
         self.norm_text = LayerNorm(dim)
-        self.drop = drop
 
-    def __call__(self, joint, text, scaled, rng, training):
+    def __call__(self, joint, text, scaled, rng):
         hq = self.norm_joint(joint)
         ht = self.norm_text(text)
-        return attention(
-            self.attn, hq, ht, residual=joint,
-            scaled=scaled, drop_rate=self.drop, rng=rng, training=training,
-        )
+        return attention(self.attn, hq, ht, residual=joint, scaled=scaled, rng=rng)
 
 
 class DecoderLayer(Module):
@@ -218,25 +210,18 @@ class DecoderLayer(Module):
     """
 
     def __init__(self, dim: int, heads: int, drop: float, rng: RngState):
-        self.self_attn = AttentionParams(dim, heads, rng)
+        self.self_attn = AttentionParams(dim, heads, rng, drop_rate=drop)
         self.norm_self = LayerNorm(dim)
-        self.cross_attn = AttentionParams(dim, heads, rng)
+        self.cross_attn = AttentionParams(dim, heads, rng, drop_rate=drop)
         self.norm_query = LayerNorm(dim)
         self.ff = FeedForward(dim, rng, drop_rate=drop)
         self.norm_ff = LayerNorm(dim)
-        self.drop = drop
 
-    def __call__(self, q, memory, q_pos, m_pos, scaled, rng, training):
-        q = self_attention(
-            q, self.self_attn, pos=q_pos, norm=self.norm_self,
-            scaled=scaled, drop_rate=self.drop, rng=rng, training=training,
-        )
+    def __call__(self, q, memory, q_pos, m_pos, scaled, rng):
+        q = self_attention(q, self.self_attn, pos=q_pos, norm=self.norm_self, scaled=scaled, rng=rng)
         hq = self.norm_query(q)
-        q = attention(
-            self.cross_attn, hq, memory, residual=q, q_pos=q_pos, k_pos=m_pos,
-            scaled=scaled, drop_rate=self.drop, rng=rng, training=training,
-        )
-        return self.ff(q, norm=self.norm_ff, rng=rng, training=training)
+        q = attention(self.cross_attn, hq, memory, residual=q, q_pos=q_pos, k_pos=m_pos, scaled=scaled, rng=rng)
+        return self.ff(q, norm=self.norm_ff, rng=rng)
 
 
 class MomentModel(Module):
@@ -285,8 +270,7 @@ class MomentModel(Module):
 
     # -- encoding ----------------------------------------------------------
 
-    def encode_features(self, visual: Tensor | None, audio: Tensor | None,
-                        rng: RngState | None = None, training: bool = False) -> Tensor:
+    def encode_features(self, visual: Tensor | None, audio: Tensor | None, rng: RngState | None = None) -> Tensor:
         """Fuse raw modality features into the joint (N_v, model_dim) sequence."""
         cfg = self.config
         scaled = cfg.scaled_attention
@@ -296,11 +280,11 @@ class MomentModel(Module):
                 continue
             if feats is None:
                 raise ConfigError(f"{name} modality enabled but features are missing")
-            x = ag.dropout(feats, cfg.pre_dropout_av, rng, training)
+            x = ag.dropout(feats, cfg.pre_dropout_av, rng)
             x = getattr(self, f"{name}_proj")(x)
             pos = getattr(self, f"{name}_pos").rows(x.shape[0])
             for layer in getattr(self, f"{name}_encoder"):
-                x = layer(x, pos, scaled, rng, training)
+                x = layer(x, pos, scaled, rng)
             streams[name] = (x, pos)
         if len(streams) == 2:
             vis, vis_pos = streams["visual"]
@@ -311,7 +295,7 @@ class MomentModel(Module):
                 )
             z = self.bottleneck.value()
             for layer in self.cross_encoder:
-                vis, aud, z = layer(vis, aud, z, vis_pos, aud_pos, scaled, rng, training)
+                vis, aud, z = layer(vis, aud, z, vis_pos, aud_pos, scaled, rng)
             vis = self.visual_out_norm(vis)
             aud = self.audio_out_norm(aud)
             if cfg.fusion == "sum":
@@ -323,23 +307,21 @@ class MomentModel(Module):
         ((name, (x, _)),) = streams.items()
         return getattr(self, f"{name}_out_norm")(x)
 
-    def generate_queries(self, joint: Tensor, text: Tensor | None,
-                         rng: RngState | None = None, training: bool = False) -> Tensor:
+    def generate_queries(self, joint: Tensor, text: Tensor | None, rng: RngState | None = None) -> Tensor:
         """Build one query per clip, conditioned on text when available."""
         cfg = self.config
         if cfg.use_text:
             if text is None:
                 raise ConfigError("text conditioning enabled but text features are missing")
-            t = ag.dropout(text, cfg.pre_dropout_text, rng, training)
+            t = ag.dropout(text, cfg.pre_dropout_text, rng)
             t = self.text_proj(t)
             q = joint
             for layer in self.query_generator:
-                q = layer(q, t, cfg.scaled_attention, rng, training)
+                q = layer(q, t, cfg.scaled_attention, rng)
             return q
         return ag.add(joint, self.query_seed_pos.rows(joint.shape[0]))
 
-    def decode(self, joint: Tensor, queries: Tensor,
-               rng: RngState | None = None, training: bool = False) -> RawPredictions:
+    def decode(self, joint: Tensor, queries: Tensor, rng: RngState | None = None) -> RawPredictions:
         """Run the query decoder and the four heads."""
         cfg = self.config
         n = queries.shape[0]
@@ -347,7 +329,7 @@ class MomentModel(Module):
         m_pos = self.memory_pos.rows(n)
         q = queries
         for layer in self.decoder:
-            q = layer(q, joint, q_pos, m_pos, cfg.scaled_attention, rng, training)
+            q = layer(q, joint, q_pos, m_pos, cfg.scaled_attention, rng)
         q = self.decoder_norm(q)
 
         def head(linear: Linear) -> Tensor:
@@ -372,11 +354,12 @@ class MomentModel(Module):
             out[mod] = Tensor(seq.array.astype(np.float64)) if seq is not None else None
         return out
 
-    def forward(self, sample: VideoSample, rng: RngState | None = None, training: bool = False) -> RawPredictions:
+    def forward(self, sample: VideoSample, rng: RngState | None = None) -> RawPredictions:
+        """All four heads for one sample; a dropout stream ``rng`` makes it a training pass."""
         feats = self._sample_tensors(sample)
-        joint = self.encode_features(feats["visual"], feats["audio"], rng, training)
-        queries = self.generate_queries(joint, feats["text"], rng, training)
-        return self.decode(joint, queries, rng, training)
+        joint = self.encode_features(feats["visual"], feats["audio"], rng)
+        queries = self.generate_queries(joint, feats["text"], rng)
+        return self.decode(joint, queries, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -125,10 +125,12 @@ class TrainResult:
     checkpoints: list[Path]
 
 
-def sample_loss(model: MomentModel, sample: VideoSample, targets, weights: LossWeights,
-                rng: RngState | None, training: bool):
-    """Weighted training loss of one sample, plus its four unweighted components."""
-    preds = model.forward(sample, rng=rng, training=training)
+def sample_loss(model: MomentModel, sample: VideoSample, targets, weights: LossWeights, rng: RngState | None):
+    """Weighted training loss of one sample, plus its four unweighted components.
+
+    ``rng`` is the dropout stream; ``None`` gives the loss without dropout.
+    """
+    preds = model.forward(sample, rng=rng)
     l_s = saliency_loss(preds.saliency, targets.saliency_targets)
     l_c = focal_center_loss(preds.heatmap, targets.heatmap, targets.n_moments, weights)
     l_w, l_o = regression_losses(preds.window, preds.offset, targets)
@@ -160,9 +162,7 @@ def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
             total: Tensor | None = None
             comps = np.zeros(4)
             for idx in batch:
-                sample_total, parts = sample_loss(
-                    model, samples[idx], targets[idx], weights, drop_rng, training=True
-                )
+                sample_total, parts = sample_loss(model, samples[idx], targets[idx], weights, drop_rng)
                 total = sample_total if total is None else ag.add(total, sample_total)
                 comps += parts
             total = ag.mul(total, 1.0 / len(batch))

@@ -152,15 +152,15 @@ def test_layer_norm_shape_validation():
 def test_dropout_eval_is_identity_and_consumes_no_randomness():
     rng = ag.RngState(7)
     x = ag.Tensor(np.arange(12.0).reshape(3, 4))
-    out = ag.dropout(x, 0.5, rng, training=False)
-    np.testing.assert_array_equal(out.data, x.data)
+    assert ag.dropout(x, 0.5, None) is x
+    assert ag.dropout(x, 0.0, rng) is x
     assert rng.position == 0
 
 
 def test_dropout_training_scales_survivors():
     rng = ag.RngState(8)
     x = ag.Tensor(np.ones((2000,)))
-    out = ag.dropout(x, 0.25, rng, training=True)
+    out = ag.dropout(x, 0.25, rng)
     kept = out.data != 0.0
     np.testing.assert_allclose(out.data[kept], 1.0 / 0.75)
     assert abs(kept.mean() - 0.75) < 0.05
@@ -170,9 +170,9 @@ def test_dropout_training_scales_survivors():
 def test_dropout_rejects_bad_rate():
     rng = ag.RngState(0)
     with pytest.raises(ValueError):
-        ag.dropout(ag.Tensor(np.ones(3)), 1.0, rng, training=True)
+        ag.dropout(ag.Tensor(np.ones(3)), 1.0, rng)
     with pytest.raises(ValueError):
-        ag.dropout(ag.Tensor(np.ones(3)), -0.1, rng, training=True)
+        ag.dropout(ag.Tensor(np.ones(3)), -0.1, rng)
 
 
 def test_dropout_gradients_with_reseeded_stream():
@@ -181,7 +181,7 @@ def test_dropout_gradients_with_reseeded_stream():
 
     def loss():
         rng = ag.RngState(123)  # identical mask on every evaluation
-        return ag.sum_(ag.dropout(x, 0.4, rng, training=True))
+        return ag.sum_(ag.dropout(x, 0.4, rng))
 
     fd_check(loss, [("x", x)])
 
@@ -383,14 +383,14 @@ def test_softmax_symmetry_and_extreme_logits():
 
 def test_dropout_empirical_rate_large_sample():
     rng = ag.RngState(100)
-    out = ag.dropout(ag.Tensor(np.ones(1_000_000)), 0.1, rng, training=True)
+    out = ag.dropout(ag.Tensor(np.ones(1_000_000)), 0.1, rng)
     zero_fraction = float((out.data == 0.0).mean())
     assert abs(zero_fraction - 0.1) < 0.01
 
 
-def test_dropout_in_training_requires_rng():
-    with pytest.raises(ValueError, match="rng"):
-        ag.dropout(ag.Tensor(np.ones(4)), 0.5, None, training=True)
+def test_dropout_checks_rate_without_rng():
+    with pytest.raises(ValueError, match="rate"):
+        ag.dropout(ag.Tensor(np.ones(4)), 1.5, None)
 
 
 def test_backward_hand_examples():

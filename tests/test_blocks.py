@@ -259,13 +259,13 @@ def test_named_parameters_is_deterministic_and_complete():
 
 
 def test_attention_dropout_only_active_in_training():
-    params = make_params(8, 2, seed=23)
+    params = blocks.AttentionParams(8, 2, RngState(23), drop_rate=0.5)
     x = Tensor(np.random.default_rng(24).normal(size=(4, 8)))
-    eval_out = blocks.self_attention(x, params, drop_rate=0.5, rng=RngState(0), training=False)
-    eval_again = blocks.self_attention(x, params, drop_rate=0.5, rng=RngState(0), training=False)
+    eval_out = blocks.self_attention(x, params)
+    eval_again = blocks.self_attention(x, params, rng=None)
     np.testing.assert_array_equal(eval_out.data, eval_again.data)
-    train_a = blocks.self_attention(x, params, drop_rate=0.5, rng=RngState(1), training=True)
-    train_b = blocks.self_attention(x, params, drop_rate=0.5, rng=RngState(2), training=True)
+    train_a = blocks.self_attention(x, params, rng=RngState(1))
+    train_b = blocks.self_attention(x, params, rng=RngState(2))
     assert not np.array_equal(train_a.data, train_b.data)
 
 

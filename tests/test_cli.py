@@ -173,6 +173,7 @@ MALFORMED = {
     "checkpoint config max_len 2**45": (
         _rewrite_checkpoint_header, _set("config", "max_len", value=2**45), CheckpointError),
     "checkpoint config dropout 1.5": (_rewrite_checkpoint_header, _set("config", "dropout", value=1.5), ConfigError),
+    "checkpoint config heads 0": (_rewrite_checkpoint_header, _set("config", "heads", value=0), ConfigError),
     "manifest without samples": (_rewrite_manifest, _drop("samples"), DataError),
     "manifest not an object": (_rewrite_manifest, lambda doc: [doc], DataError),
     "negative clip_seconds": (_rewrite_manifest, _set("samples", 0, "clip_seconds", value=-1), DataError),
@@ -185,6 +186,42 @@ MALFORMED = {
     "non-numeric saliency": (_rewrite_manifest, _set("samples", 0, "saliency", 0, value="x"), DataError),
     "non-numeric positive_threshold": (_rewrite_manifest, _set("positive_threshold", value="abc"), DataError),
 }
+
+
+# config-file lines of the wrong type or range: each must end in one typed JSON error line
+BAD_CONFIG_LINES = {
+    "model.use_audio = no": ("train", DataError),
+    "model.heads = 0": ("train", ConfigError),
+    "model.model_dim = 0": ("train", ConfigError),
+    "model.heads = -2": ("train", ConfigError),
+    "model.heads = true": ("train", DataError),
+    "model.n_bottleneck = 2.5": ("train", DataError),
+    'model.dropout = "abc"': ("train", DataError),
+    'train.epochs = "abc"': ("train", DataError),
+    "train.batch_size = 2.5": ("train", DataError),
+    'train.learning_rate = "x"': ("train", DataError),
+    "synth.n_videos = 1.5": ("synth", DataError),
+}
+
+
+@pytest.mark.parametrize("line", sorted(BAD_CONFIG_LINES))
+def test_bad_config_values_raise_typed_errors_and_exit_cleanly(line, tmp_path, capsys):
+    command, error = BAD_CONFIG_LINES[line]
+    good = tmp_path / "good.cfg"
+    good.write_text(TINY_CONFIG)
+    code, out, _ = run(capsys, ["synth", "--config", str(good), "--out", str(tmp_path / "ds")])
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG + line + "\n")
+    argv = {"synth": ["synth", "--out", str(tmp_path / "ds2")], "train": ["train", manifest]}[command]
+
+    code, out, err = run(capsys, argv + ["--config", str(bad)])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["error"] == error.__name__
+    assert line.split(" = ")[0].split(".")[1] in doc["message"]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -75,11 +75,30 @@ def test_eval_forward_is_deterministic():
 def test_training_dropout_changes_outputs_but_is_seed_reproducible():
     model = MomentModel(small_config(), seed=4)
     sample = make_sample(seed=5)
-    first = model.forward(sample, rng=RngState(11), training=True)
-    again = model.forward(sample, rng=RngState(11), training=True)
-    other = model.forward(sample, rng=RngState(12), training=True)
+    first = model.forward(sample, rng=RngState(11))
+    again = model.forward(sample, rng=RngState(11))
+    other = model.forward(sample, rng=RngState(12))
     assert np.array_equal(first.heatmap.data, again.heatmap.data)
     assert not np.array_equal(first.heatmap.data, other.heatmap.data)
+
+
+@pytest.mark.parametrize("share", [False, True])
+def test_dropout_draws_follow_the_stream(share):
+    """A dropout stream makes a forward draw one mask per dropout site; without one it equals zero-rate dropout."""
+    model = MomentModel(small_config(share_cross_weights=share), seed=4)
+    sample = make_sample(seed=5)
+    rng = RngState(11)
+    model.forward(sample, rng)
+    # 3 input dropouts + 2 uni-modal layers x (attention + 2 in the FFN) + cross-modal
+    # (4 attentions + 2 FFNs x 2) + query generator 1 + decoder (2 attentions + 2 in the FFN)
+    assert rng.position == 3 + 2 * 3 + 8 + 1 + 4 == 22
+    no_rates = dict(dropout=0.0, pre_dropout_av=0.0, pre_dropout_text=0.0)
+    unused = RngState(11)
+    zero_rate = MomentModel(small_config(share_cross_weights=share, **no_rates), seed=4).forward(sample, unused)
+    assert unused.position == 0
+    eval_out = model.forward(sample)
+    for field in ("saliency", "heatmap", "window", "offset"):
+        assert np.array_equal(getattr(eval_out, field).data, getattr(zero_rate, field).data)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +314,11 @@ def test_config_validation():
         ModelConfig(use_visual=False, use_audio=False).validate()
     with pytest.raises(ConfigError):
         ModelConfig(model_dim=10, heads=4).validate()
+    for field, size in (("heads", 0), ("heads", -2), ("model_dim", 0)):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{field: size}).validate()
+        with pytest.raises(ConfigError, match=field):
+            MomentModel(small_config(**{field: size}))
     with pytest.raises(ConfigError):
         ModelConfig(fusion="max").validate()
     with pytest.raises(ConfigError):
