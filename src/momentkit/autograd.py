@@ -8,10 +8,13 @@ remembers its parents and a closure that pushes gradients to them);
 Design constraints:
   * first-order gradients only, single-threaded per graph
   * ``matmul`` multiplies over the last two axes, batched over equal leading axes
+  * ``attend`` is multi-head attention as one tape node: it computes the heads
+    one at a time, each head's (Nq, Nk) scores built, softmaxed and mixed in
+    one buffer, and shares its softmax kernels with ``softmax``
   * all randomness flows through an explicit :class:`RngState`
   * gradients are never changed in place: a tensor's first gradient is kept
     as given and may be shared with other tensors, later ones add out of place
-  * matmul work is tallied in a module-level multiply-accumulate counter
+  * matmul and attend work is tallied in a module-level multiply-accumulate counter
     so attention cost scaling can be measured rather than estimated
 """
 
@@ -41,7 +44,7 @@ def reset_mac_count() -> None:
 
 
 def mac_count() -> int:
-    """Multiply-accumulate operations performed by matmul since the last reset."""
+    """Multiply-accumulate operations performed by matmul and attend since the last reset."""
     return _mac_count
 
 
@@ -438,14 +441,12 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalization, softmax, dropout
+# softmax and attention
 # ---------------------------------------------------------------------------
 
 
-def softmax(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
-    """Numerically stabilized softmax of ``scale * a``, built in one buffer; rejects non-finite input."""
-    a = _coerce(a)
-    data = a.data * scale
+def _softmax_(data: np.ndarray, axis: int) -> None:
+    """Softmax of already-scaled ``data`` along ``axis``, in place; rejects non-finite input."""
     peak = data.max(axis=axis, keepdims=True)
     # NaN and +inf show in a row maximum, -inf in the global minimum
     if not (np.isfinite(peak).all() and np.isfinite(data.min())):
@@ -454,15 +455,81 @@ def softmax(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
     np.exp(data, out=data)
     data /= data.sum(axis=axis, keepdims=True)
 
+
+def _softmax_grad(g: np.ndarray, data: np.ndarray, axis: int, scale: float) -> np.ndarray:
+    """Gradient of the scores given the output gradient ``g`` and the softmax output ``data``."""
+    dx = g * data
+    dot = dx.sum(axis=axis, keepdims=True)
+    np.subtract(g, dot, out=dx)
+    dx *= data
+    dx *= scale
+    return dx
+
+
+def softmax(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
+    """Numerically stabilized softmax of ``scale * a``, built in one buffer; rejects non-finite input."""
+    a = _coerce(a)
+    data = a.data * scale
+    _softmax_(data, axis)
+
     def backward(g):
-        dx = g * data
-        dot = dx.sum(axis=axis, keepdims=True)
-        np.subtract(g, dot, out=dx)
-        dx *= data
-        dx *= scale
-        _accumulate(a, dx)
+        _accumulate(a, _softmax_grad(g, data, axis, scale))
 
     return _make(data, (a,), backward)
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tensor:
+    """Multi-head attention over (N, dim) projections: softmax(scale * q_h k_h^T) v_h per head.
+
+    Head h owns columns [h*head_dim, (h+1)*head_dim) of q, k, v and of the
+    (Nq, dim) output. Its (Nq, Nk) scores are built, softmaxed and mixed while
+    they sit in cache, one head at a time. Without a tape every head reuses
+    one score buffer; with one, the (heads, Nq, Nk) weights are kept for
+    backward, which runs the same float ops head by head.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.shape != k.shape or k.shape[1] != q.shape[1] \
+            or q.shape[1] % n_heads:
+        raise ShapeError(f"attend needs (Nq, d), (Nk, d) and (Nk, d) with d divisible by {n_heads} heads, "
+                         f"got {q.shape}, {k.shape} and {v.shape}")
+    (n_q, dim), n_k = q.shape, k.shape[0]
+    global _mac_count
+    _mac_count += 2 * n_q * n_k * dim
+    head_dim = dim // n_heads
+    heads = [slice(h * head_dim, (h + 1) * head_dim) for h in range(n_heads)]
+
+    def k_t(cols: slice) -> np.ndarray:
+        # k_h^T copied row-major: BLAS picks its kernel, and with it the
+        # rounding, by operand layout; this one matches the per-head oracle
+        return np.ascontiguousarray(k.data[:, cols].T)
+
+    taped = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    weights = np.empty((n_heads if taped else 1, n_q, n_k))
+    out = np.empty((n_q, dim))
+    for h, cols in enumerate(heads):
+        w = weights[h if taped else 0]
+        np.matmul(q.data[:, cols], k_t(cols), out=w)
+        w *= scale
+        _softmax_(w, -1)
+        np.matmul(w, v.data[:, cols], out=out[:, cols])
+
+    def backward(g):
+        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        for h, cols in enumerate(heads):
+            np.matmul(weights[h].T, g[:, cols], out=gv[:, cols])
+            gs = _softmax_grad(g[:, cols] @ v.data[:, cols].T, weights[h], -1, scale)
+            np.matmul(gs, k_t(cols).T, out=gq[:, cols])
+            gk[:, cols] = (q.data[:, cols].T @ gs).T
+        _accumulate(q, gq)
+        _accumulate(k, gk)
+        _accumulate(v, gv)
+
+    return _make(out, (q, k, v), backward)
+
+
+# ---------------------------------------------------------------------------
+# normalization and dropout
+# ---------------------------------------------------------------------------
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

@@ -9,10 +9,11 @@ Three attention wirings cover everything the model needs:
                           to read the fused information back out
 
 All three share one primitive: out_i = res_i + W_z · sum_j a_ij · (v_j W_v)
-with a_ij = softmax_j((q_i W_q) · (k_j W_k)), all heads computed as one
-(heads, N, head_dim) batch. Learnable positional encodings are added to the
-*inputs* of the query/key projections only — never to the values — and each
-wiring chooses which side receives them.
+with a_ij = softmax_j((q_i W_q) · (k_j W_k)). The heads are computed one at a
+time inside a single ``ag.attend`` op, which builds, softmaxes and mixes each
+head's scores while they sit in cache. Learnable positional encodings are
+added to the *inputs* of the query/key projections only — never to the
+values — and each wiring chooses which side receives them.
 
 Each ``AttentionParams`` and ``FeedForward`` owns its dropout rate. Dropout
 runs exactly when a dropout stream (``rng``) is passed: training passes one,
@@ -138,17 +139,9 @@ def attention(
         q_in = ag.add(q_in, q_pos)
     k_in = ag.add(kv_in, k_pos) if k_pos is not None else kv_in
 
-    def split(x: Tensor, w: Tensor, axes: tuple[int, int, int]) -> Tensor:
-        x = ag.matmul(x, w)
-        return ag.transpose(ag.reshape(x, (x.shape[0], params.n_heads, params.head_dim)), axes)
-
-    q = split(q_in, params.w_q, (1, 0, 2))    # (heads, Nq, head_dim)
-    k_t = split(k_in, params.w_k, (1, 2, 0))  # (heads, head_dim, Nk)
-    v = split(kv_in, params.w_v, (1, 0, 2))   # (heads, Nk, head_dim)
+    q, k, v = ag.matmul(q_in, params.w_q), ag.matmul(k_in, params.w_k), ag.matmul(kv_in, params.w_v)
     scale = 1.0 / math.sqrt(params.head_dim) if scaled else 1.0
-    weights = ag.softmax(ag.matmul(q, k_t), axis=-1, scale=scale)
-    mixed = ag.transpose(ag.matmul(weights, v), (1, 0, 2))
-    out = ag.matmul(ag.reshape(mixed, (mixed.shape[0], params.dim)), params.w_z)
+    out = ag.matmul(ag.attend(q, k, v, params.n_heads, scale), params.w_z)
     return ag.add(residual, ag.dropout(out, params.drop_rate, rng))
 
 

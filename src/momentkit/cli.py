@@ -19,8 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import types
-import typing
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +43,8 @@ from .model import (
     ConfigError,
     ModelConfig,
     MomentModel,
+    check_field_types,
+    fits,
     load_checkpoint,
 )
 from .train import TrainConfig, evaluate, predict, sample_loss, train
@@ -81,27 +82,20 @@ def section(doc: dict[str, object], prefix: str) -> dict[str, object]:
     return {k[len(prefix) + 1:]: v for k, v in doc.items() if k.startswith(prefix + ".")}
 
 
-def _fits(value: object, hint) -> bool:
-    """Whether ``value`` has the declared field type; booleans are not numbers here."""
-    if isinstance(hint, types.UnionType):
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
 def _build(dc_cls, fields: dict[str, object], label: str):
-    hints = typing.get_type_hints(dc_cls)
-    unknown = sorted(set(fields) - set(hints))
+    unknown = sorted(set(fields) - {f.name for f in dataclass_fields(dc_cls)})
     if unknown:
         raise DataError(f"unknown {label} settings: {', '.join(unknown)}")
-    for name, value in fields.items():
-        hint = hints[name]
-        if not _fits(value, hint):
-            raise DataError(f"{label}.{name} must be {getattr(hint, '__name__', hint)}, got {json.dumps(value)}")
-    return dc_cls(**fields)
+    cfg = dc_cls(**fields)
+    check_field_types(cfg, label, DataError)
+    return cfg
+
+
+def _top_k(doc: dict[str, object]) -> int:
+    top_k = doc.get("eval.top_k", 10)
+    if not fits(top_k, int) or top_k < 1:
+        raise DataError(f"eval.top_k must be a positive int, got {json.dumps(top_k)}")
+    return top_k
 
 
 def _load_config(args) -> dict[str, object]:
@@ -167,10 +161,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     doc = _load_config(args)
+    top_k = _top_k(doc)
     samples = load_dataset(args.data)
     model, _ = load_checkpoint(args.checkpoint)
     tasks = args.tasks or str(doc.get("eval.tasks", "both"))
-    report = evaluate(model, samples, tasks=tasks, top_k=int(doc.get("eval.top_k", 10)))
+    report = evaluate(model, samples, tasks=tasks, top_k=top_k)
     payload = report.as_dict()
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -180,9 +175,10 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     doc = _load_config(args)
+    top_k = _top_k(doc)
     samples = load_dataset(args.data)
     model, _ = load_checkpoint(args.checkpoint)
-    records = predict(model, samples, args.out, top_k=int(doc.get("eval.top_k", 10)))
+    records = predict(model, samples, args.out, top_k=top_k)
     print(json.dumps({"written": len(records), "path": str(args.out)}))
     return 0
 

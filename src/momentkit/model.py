@@ -36,7 +36,9 @@ import math
 import os
 import struct
 import sys
-from dataclasses import asdict, dataclass
+import types
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,30 @@ class ConfigError(ValueError):
 
 class CheckpointError(ValueError):
     """Unreadable or mismatched checkpoint file."""
+
+
+def fits(value: object, hint) -> bool:
+    """Whether ``value`` has the declared type ``hint``; ints pass for floats, booleans are not numbers."""
+    if isinstance(hint, types.UnionType):
+        return any(fits(value, h) for h in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def check_field_types(cfg, label: str, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``<label>.<field>`` at the first field of dataclass ``cfg`` of the wrong type.
+
+    Configuration read from a file (``--config``) and from a checkpoint header
+    goes through this one check before anything compares or counts with it.
+    """
+    hints = typing.get_type_hints(type(cfg))
+    for f in fields(cfg):
+        value, hint = getattr(cfg, f.name), hints[f.name]
+        if not fits(value, hint):
+            raise error(f"{label}.{f.name} must be {getattr(hint, '__name__', hint)}, got {json.dumps(value)}")
 
 
 @dataclass
@@ -113,10 +139,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
+        """A validated config from a checkpoint header; a field of the wrong type raises ``TypeError``."""
         try:
             cfg = cls(**doc)
         except TypeError as exc:
             raise ConfigError(f"bad config fields: {exc}") from exc
+        check_field_types(cfg, "config", TypeError)
         cfg.validate()
         return cfg
 

@@ -32,7 +32,7 @@ from .losses import (
     total_loss,
 )
 from .metrics import EvalReport, build_report
-from .model import MomentModel, save_checkpoint
+from .model import ConfigError, MomentModel, save_checkpoint
 
 TASKS = ("mr", "hd", "both")
 
@@ -51,15 +51,15 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.epochs < 0:
-            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+            raise ConfigError(f"epochs must be nonnegative, got {self.epochs}")
         if self.checkpoint_every < 0:
-            raise ValueError(f"checkpoint_every must be nonnegative, got {self.checkpoint_every}")
+            raise ConfigError(f"checkpoint_every must be nonnegative, got {self.checkpoint_every}")
         if self.tasks not in TASKS:
-            raise ValueError(f"tasks must be one of {TASKS}, got {self.tasks!r}")
+            raise ConfigError(f"tasks must be one of {TASKS}, got {self.tasks!r}")
         if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be positive when set, got {self.clip_norm}")
+            raise ConfigError(f"clip_norm must be positive when set, got {self.clip_norm}")
 
     def task_weights(self) -> LossWeights:
         """Loss weights with the inactive task's terms zeroed out."""

@@ -121,6 +121,51 @@ def test_softmax_gradients():
     np.testing.assert_array_equal(ag.softmax(x, scale=0.37).data, ag.softmax(ag.mul(x, 0.37)).data)
 
 
+@pytest.mark.parametrize("n_heads,scale", [(1, 1.0), (1, 0.5), (4, 1.0), (4, 0.5)])
+def test_attend_gradients(n_heads, scale):
+    rng = np.random.default_rng(40 + n_heads)
+    q = ag.Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+    k = ag.Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+    v = ag.Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+    w = ag.Tensor(rng.normal(size=(3, 8)))
+
+    def loss():
+        return ag.sum_(ag.mul(ag.attend(q, k, v, n_heads, scale), w))
+
+    fd_check(loss, [("q", q), ("k", k), ("v", v)])
+
+
+def test_attend_is_softmax_of_scaled_scores_per_head():
+    rng = np.random.default_rng(44)
+    q, k, v = rng.normal(size=(3, 8)), rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
+    out = ag.attend(ag.Tensor(q), ag.Tensor(k), ag.Tensor(v), 2, 0.5).data
+    for cols in (slice(0, 4), slice(4, 8)):
+        weights = ag.softmax(ag.Tensor(q[:, cols] @ k[:, cols].T), scale=0.5).data
+        np.testing.assert_allclose(out[:, cols], weights @ v[:, cols], rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_attend_rejects_non_finite_scores(bad):
+    q = np.ones((2, 4))
+    k = np.ones((3, 4))
+    k[1, 2] = bad  # reaches every score of the second head's second column
+    with pytest.raises(ag.NumericError):
+        ag.attend(ag.Tensor(q), ag.Tensor(k), ag.Tensor(np.ones((3, 4))), 2, 1.0)
+    with ag.no_grad(), pytest.raises(ag.NumericError):
+        ag.attend(ag.Tensor(q, requires_grad=True), ag.Tensor(k), ag.Tensor(np.ones((3, 4))), 2, 1.0)
+
+
+def test_attend_counts_both_products_and_checks_shapes():
+    ag.reset_mac_count()
+    ag.attend(ag.Tensor(np.ones((3, 8))), ag.Tensor(np.ones((5, 8))), ag.Tensor(np.ones((5, 8))), 4, 1.0)
+    assert ag.mac_count() == 2 * 3 * 5 * 8
+    ones = ag.Tensor(np.ones((5, 8)))
+    for q, k, v, heads in [(np.ones((3, 8)), ones, ones, 3), (np.ones((3, 6)), ones, ones, 2),
+                           (np.ones((3, 8)), ones, ag.Tensor(np.ones((4, 8))), 2), (np.ones(8), ones, ones, 2)]:
+        with pytest.raises(ag.ShapeError):
+            ag.attend(ag.Tensor(q), k, v, heads, 1.0)
+
+
 def test_layer_norm_output_statistics():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(5, 16)) * 3.0 + 2.0

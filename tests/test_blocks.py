@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,20 @@ def test_attention_tape_size_does_not_depend_on_head_count():
         for heads in (1, 8)
     }
     assert counts[1] == counts[8]
+
+
+def test_inference_attention_holds_one_head_of_scores_at_a_time():
+    # d256/h8 at 512 clips: the (heads, N, N) scores alone are 16 MB, one head's 2 MB
+    params = make_params(256, 8, seed=2)
+    x = Tensor(np.random.default_rng(3).normal(size=(512, 256)))
+    tracemalloc.start()
+    try:
+        with ag.no_grad():
+            blocks.self_attention(x, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_positional_table_capacity_enforced():

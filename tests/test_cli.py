@@ -174,6 +174,9 @@ MALFORMED = {
         _rewrite_checkpoint_header, _set("config", "max_len", value=2**45), CheckpointError),
     "checkpoint config dropout 1.5": (_rewrite_checkpoint_header, _set("config", "dropout", value=1.5), ConfigError),
     "checkpoint config heads 0": (_rewrite_checkpoint_header, _set("config", "heads", value=0), ConfigError),
+    "checkpoint config heads true": (_rewrite_checkpoint_header, _set("config", "heads", value=True), CheckpointError),
+    "checkpoint config n_bottleneck 2.5": (
+        _rewrite_checkpoint_header, _set("config", "n_bottleneck", value=2.5), CheckpointError),
     "manifest without samples": (_rewrite_manifest, _drop("samples"), DataError),
     "manifest not an object": (_rewrite_manifest, lambda doc: [doc], DataError),
     "negative clip_seconds": (_rewrite_manifest, _set("samples", 0, "clip_seconds", value=-1), DataError),
@@ -201,7 +204,17 @@ BAD_CONFIG_LINES = {
     "train.batch_size = 2.5": ("train", DataError),
     'train.learning_rate = "x"': ("train", DataError),
     "synth.n_videos = 1.5": ("synth", DataError),
+    "train.batch_size = 0": ("train", ConfigError),
+    "eval.top_k = true": ("predict", DataError),
+    "eval.top_k = 2.5": ("eval", DataError),
+    "eval.top_k = 0": ("predict", DataError),
 }
+
+
+def _tiny_checkpoint(path):
+    """A checkpoint whose model fits the corpus ``TINY_CONFIG`` synthesizes."""
+    cfg = ModelConfig(model_dim=8, heads=2, n_bottleneck=2, max_len=16, visual_dim=6, audio_dim=5, text_dim=4)
+    save_checkpoint(MomentModel(cfg), path)
 
 
 @pytest.mark.parametrize("line", sorted(BAD_CONFIG_LINES))
@@ -214,7 +227,14 @@ def test_bad_config_values_raise_typed_errors_and_exit_cleanly(line, tmp_path, c
     manifest = json.loads(out)["manifest"]
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_CONFIG + line + "\n")
-    argv = {"synth": ["synth", "--out", str(tmp_path / "ds2")], "train": ["train", manifest]}[command]
+    ckpt = tmp_path / "model.ckpt"
+    _tiny_checkpoint(ckpt)
+    argv = {
+        "synth": ["synth", "--out", str(tmp_path / "ds2")],
+        "train": ["train", manifest],
+        "eval": ["eval", manifest, "--checkpoint", str(ckpt)],
+        "predict": ["predict", manifest, "--checkpoint", str(ckpt), "--out", str(tmp_path / "p.jsonl")],
+    }[command]
 
     code, out, err = run(capsys, argv + ["--config", str(bad)])
     assert code == 1 and out == ""
@@ -232,8 +252,7 @@ def test_malformed_inputs_raise_typed_errors_and_exit_cleanly(case, tmp_path, ca
     assert code == 0
     manifest = json.loads(out)["manifest"]
     ckpt = tmp_path / "model.ckpt"
-    model_cfg = ModelConfig(model_dim=8, heads=2, n_bottleneck=2, max_len=16, visual_dim=6, audio_dim=5, text_dim=4)
-    save_checkpoint(MomentModel(model_cfg), ckpt)
+    _tiny_checkpoint(ckpt)
     rewrite, edit, error = MALFORMED[case]
     rewrite(ckpt if rewrite is _rewrite_checkpoint_header else tmp_path / "ds" / "manifest.json", edit)
 
