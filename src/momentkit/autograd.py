@@ -7,7 +7,7 @@ remembers its parents and a closure that pushes gradients to them);
 
 Design constraints:
   * first-order gradients only, single-threaded per graph
-  * ``matmul`` multiplies over the last two axes, batched over equal leading axes
+  * ``matmul`` multiplies 2-D operands only; ``sum_`` sums every element
   * ``attend`` is multi-head attention as one tape node: it computes the heads
     one at a time, each head's (Nq, Nk) scores built, softmaxed and mixed in
     one buffer, and shares its softmax kernels with ``softmax``
@@ -130,34 +130,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; all routed through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return mul(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _coerce(value) -> Tensor:
     if isinstance(value, Tensor):
@@ -244,34 +216,21 @@ def neg(a) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading (batch) axes must be equal, not broadcast."""
+    """Product of two 2-D operands."""
     a, b = _coerce(a), _coerce(b)
-    if a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul requires 2-D operands or equal batch axes, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     global _mac_count
-    _mac_count += a.size * b.shape[-1]
+    _mac_count += a.size * b.shape[1]
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.swapaxes(-1, -2))
-        _accumulate(b, a.data.swapaxes(-1, -2) @ g)
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
 
     return _make(data, (a, b), backward)
-
-
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    """Permute the axes; ``axes[i]`` names the input axis that becomes axis i."""
-    a = _coerce(a)
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.data.ndim)):
-        raise ShapeError(f"transpose axes {axes} are not a permutation of the axes of shape {a.shape}")
-
-    def backward(g):
-        _accumulate(a, g.transpose(np.argsort(axes)))
-
-    return _make(a.data.transpose(axes), (a,), backward)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -283,15 +242,14 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _make(a.data.reshape(shape), (a,), backward)
 
 
-def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def sum_(a: Tensor) -> Tensor:
+    """Sum of every element, as a 0-D tensor."""
     a = _coerce(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        ge = g if keepdims or axis is None else np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(ge, a.shape))
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
-    return _make(data, (a,), backward)
+    return _make(a.data.sum(), (a,), backward)
 
 
 def mean(a: Tensor) -> Tensor:
@@ -337,16 +295,6 @@ def softplus(a: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(a, g * _logistic(a.data))
-
-    return _make(data, (a,), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _coerce(a)
-    data = np.exp(a.data)
-
-    def backward(g):
-        _accumulate(a, g * data)
 
     return _make(data, (a,), backward)
 
@@ -535,14 +483,11 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tenso
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance (eps 1e-5), then apply an affine map.
 
-    1-D input is treated as a single row. ``gain`` and ``bias`` must match the
-    trailing (normalized) dimension.
+    1-D input is a single row. ``gain`` and ``bias`` must match the trailing
+    (normalized) dimension.
     """
     a, gain, bias = _coerce(a), _coerce(gain), _coerce(bias)
     x = a.data
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     dim = x.shape[-1]
     if gain.shape != (dim,) or bias.shape != (dim,):
         raise ShapeError(
@@ -552,16 +497,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + 1e-5)
     xhat = centred * inv
     data = xhat * gain.data + bias.data
-    if squeeze:
-        data = data[0]
 
     def backward(g):
-        gz = g[None, :] if squeeze else g
-        dxhat = gz * gain.data
+        dxhat = g * gain.data
         dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        _accumulate(a, dx[0] if squeeze else dx)
-        _accumulate(gain, (gz * xhat).reshape(-1, dim).sum(axis=0))
-        _accumulate(bias, gz.reshape(-1, dim).sum(axis=0))
+        _accumulate(a, dx)
+        _accumulate(gain, (g * xhat).reshape(-1, dim).sum(axis=0))
+        _accumulate(bias, g.reshape(-1, dim).sum(axis=0))
 
     return _make(data, (a, gain, bias), backward)
 

@@ -9,15 +9,17 @@ Three attention wirings cover everything the model needs:
                           to read the fused information back out
 
 All three share one primitive: out_i = res_i + W_z · sum_j a_ij · (v_j W_v)
-with a_ij = softmax_j((q_i W_q) · (k_j W_k)). The heads are computed one at a
-time inside a single ``ag.attend`` op, which builds, softmaxes and mixes each
-head's scores while they sit in cache. Learnable positional encodings are
-added to the *inputs* of the query/key projections only — never to the
-values — and each wiring chooses which side receives them.
+with a_ij = softmax_j(s · (q_i W_q) · (k_j W_k)) per head, where the score
+scale s is 1/sqrt(head_dim), or 1 for an unscaled block. The heads are computed
+one at a time inside a single ``ag.attend`` op, which builds, softmaxes and
+mixes each head's scores while they sit in cache. Learnable positional
+encodings are added to the *inputs* of the query/key projections only — never
+to the values — and each wiring chooses which side receives them.
 
-Each ``AttentionParams`` and ``FeedForward`` owns its dropout rate. Dropout
-runs exactly when a dropout stream (``rng``) is passed: training passes one,
-inference passes none and draws nothing.
+Each ``AttentionParams`` owns its dropout rate and score scale, and each
+``FeedForward`` its dropout rate; both are fixed when the block is built.
+Dropout runs exactly when a dropout stream (``rng``) is passed: training
+passes one, inference passes none and draws nothing.
 
 Sequences are (N, dim) float64 tensors; one sample at a time.
 """
@@ -48,8 +50,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         found.extend(item.named_parameters(f"{full}.{i}"))
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        found.append((f"{full}.{i}", item))
         return found
 
 
@@ -105,15 +105,20 @@ class BottleneckTokens(Module):
 
 
 class AttentionParams(Module):
-    """Projection weights (no biases) and output dropout rate of one multi-head attention block."""
+    """Projection weights (no biases), output dropout rate and score scale of one multi-head attention block.
 
-    def __init__(self, dim: int, n_heads: int, rng: RngState, drop_rate: float = 0.0):
+    ``scaled=False`` drops the 1/sqrt(head_dim) factor on the scores, reducing
+    each head to the plain bilinear form that the reference oracles compute.
+    """
+
+    def __init__(self, dim: int, n_heads: int, rng: RngState, drop_rate: float = 0.0, scaled: bool = True):
         if dim % n_heads != 0:
             raise ShapeError(f"model dim {dim} is not divisible by head count {n_heads}")
         self.dim = dim
         self.n_heads = n_heads
         self.head_dim = dim // n_heads
         self.drop_rate = drop_rate
+        self.scale = 1.0 / math.sqrt(self.head_dim) if scaled else 1.0
         self.w_q = _uniform_init(rng, dim, (dim, dim))
         self.w_k = _uniform_init(rng, dim, (dim, dim))
         self.w_v = _uniform_init(rng, dim, (dim, dim))
@@ -127,21 +132,15 @@ def attention(
     residual: Tensor,
     q_pos: Tensor | None = None,
     k_pos: Tensor | None = None,
-    scaled: bool = True,
     rng: RngState | None = None,
 ) -> Tensor:
-    """Multi-head attention of ``q_in`` over ``kv_in`` with a residual connection.
-
-    ``scaled=False`` drops the 1/sqrt(head_dim) factor on the scores, reducing
-    each head to the plain bilinear form that the reference oracles compute.
-    """
+    """Multi-head attention of ``q_in`` over ``kv_in`` with a residual connection."""
     if q_pos is not None:
         q_in = ag.add(q_in, q_pos)
     k_in = ag.add(kv_in, k_pos) if k_pos is not None else kv_in
 
     q, k, v = ag.matmul(q_in, params.w_q), ag.matmul(k_in, params.w_k), ag.matmul(kv_in, params.w_v)
-    scale = 1.0 / math.sqrt(params.head_dim) if scaled else 1.0
-    out = ag.matmul(ag.attend(q, k, v, params.n_heads, scale), params.w_z)
+    out = ag.matmul(ag.attend(q, k, v, params.n_heads, params.scale), params.w_z)
     return ag.add(residual, ag.dropout(out, params.drop_rate, rng))
 
 
@@ -150,12 +149,11 @@ def self_attention(
     params: AttentionParams,
     pos: Tensor | None = None,
     norm: LayerNorm | None = None,
-    scaled: bool = True,
     rng: RngState | None = None,
 ) -> Tensor:
     """Within-sequence attention; the positional encoding feeds both queries and keys."""
     h = norm(x) if norm is not None else x
-    return attention(params, h, h, residual=x, q_pos=pos, k_pos=pos, scaled=scaled, rng=rng)
+    return attention(params, h, h, residual=x, q_pos=pos, k_pos=pos, rng=rng)
 
 
 def compress(
@@ -165,7 +163,6 @@ def compress(
     pos: Tensor | None = None,
     norm_x: LayerNorm | None = None,
     norm_z: LayerNorm | None = None,
-    scaled: bool = True,
     rng: RngState | None = None,
 ) -> Tensor:
     """Bottleneck tokens z attend over sequence x: z_i' = z_i + W_z sum_j a_ij v_j.
@@ -174,7 +171,7 @@ def compress(
     """
     hq = norm_z(z) if norm_z is not None else z
     hx = norm_x(x) if norm_x is not None else x
-    return attention(params, hq, hx, residual=z, q_pos=None, k_pos=pos, scaled=scaled, rng=rng)
+    return attention(params, hq, hx, residual=z, q_pos=None, k_pos=pos, rng=rng)
 
 
 def expand(
@@ -184,7 +181,6 @@ def expand(
     pos: Tensor | None = None,
     norm_x: LayerNorm | None = None,
     norm_z: LayerNorm | None = None,
-    scaled: bool = True,
     rng: RngState | None = None,
 ) -> Tensor:
     """Sequence x reads the fused bottleneck z back out: x_i' = x_i + W_z sum_j a_ij v_j.
@@ -193,7 +189,7 @@ def expand(
     """
     hq = norm_x(x) if norm_x is not None else x
     hz = norm_z(z) if norm_z is not None else z
-    return attention(params, hq, hz, residual=x, q_pos=pos, k_pos=None, scaled=scaled, rng=rng)
+    return attention(params, hq, hz, residual=x, q_pos=pos, k_pos=None, rng=rng)
 
 
 class FeedForward(Module):

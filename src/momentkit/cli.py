@@ -38,6 +38,7 @@ from .data import (
 )
 from .fdcheck import check_gradients
 from .losses import LossWeights, build_targets
+from .metrics import TASKS
 from .model import (
     CheckpointError,
     ConfigError,
@@ -48,6 +49,9 @@ from .model import (
     load_checkpoint,
 )
 from .train import TrainConfig, evaluate, predict, sample_loss, train
+
+SECTIONS = ("synth", "model", "train", "loss", "eval")
+EVAL_KEYS = ("eval.tasks", "eval.top_k")
 
 GRADCHECK_DEFAULTS = dict(
     model_dim=8, heads=2, uni_layers=1, cross_layers=1, decoder_layers=1,
@@ -99,7 +103,15 @@ def _top_k(doc: dict[str, object]) -> int:
 
 
 def _load_config(args) -> dict[str, object]:
-    return parse_config_file(args.config) if args.config else {}
+    """The ``--config`` settings; a key outside the known sections, or an unknown ``eval`` key, is an error."""
+    doc = parse_config_file(args.config) if args.config else {}
+    for key in doc:
+        prefix, dot, _ = key.partition(".")
+        if not dot or prefix not in SECTIONS or (prefix == "eval" and key not in EVAL_KEYS):
+            raise DataError(f"unknown config key {key!r}")
+    if doc.get("eval.tasks", "both") not in TASKS:
+        raise DataError(f"eval.tasks must be one of {TASKS}, got {json.dumps(doc['eval.tasks'])}")
+    return doc
 
 
 def _model_config(doc: dict[str, object], samples) -> ModelConfig:
@@ -164,7 +176,7 @@ def cmd_eval(args) -> int:
     top_k = _top_k(doc)
     samples = load_dataset(args.data)
     model, _ = load_checkpoint(args.checkpoint)
-    tasks = args.tasks or str(doc.get("eval.tasks", "both"))
+    tasks = args.tasks or doc.get("eval.tasks", "both")
     report = evaluate(model, samples, tasks=tasks, top_k=top_k)
     payload = report.as_dict()
     if args.out:
@@ -264,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a checkpoint on a dataset")
     p.add_argument("data", help="path to manifest.json")
     p.add_argument("--checkpoint", required=True, help="checkpoint file to load")
-    p.add_argument("--tasks", choices=("mr", "hd", "both"), default=None)
+    p.add_argument("--tasks", choices=TASKS, default=None)
     common(p, "optional path for the JSON report")
     p.set_defaults(func=cmd_eval)
 

@@ -158,10 +158,6 @@ class VideoSample:
         seq = self.visual if self.visual is not None else self.audio
         return seq.length
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.n_clips * self.clip_seconds
-
     def positive_flags(self) -> np.ndarray:
         """Boolean highlight positives: saliency at or above the threshold."""
         if self.saliency is None:

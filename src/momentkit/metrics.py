@@ -28,6 +28,7 @@ from .decode import MomentPrediction
 
 IOU_GRID: tuple[float, ...] = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_THRESHOLDS: tuple[float, ...] = (0.5, 0.7)
+TASKS = ("mr", "hd", "both")  # moment retrieval, highlight detection, or both
 
 Interval = tuple[float, float]
 
@@ -209,23 +210,6 @@ class EvalReport:
                 doc[name] = val
         return doc
 
-    def format_table(self) -> str:
-        lines = []
-        if self.r1_at is not None:
-            for t, v in self.r1_at.items():
-                lines.append(f"R@1 IoU={t:.2f}   {v:.4f}")
-            for t, v in self.r5_at.items():
-                lines.append(f"R@5 IoU={t:.2f}   {v:.4f}")
-            lines.append(f"mAP avg       {self.map_avg:.4f}")
-            for t in (0.5, 0.75):
-                if t in self.map_at:
-                    lines.append(f"mAP IoU={t:.2f}  {self.map_at[t]:.4f}")
-        if self.hd_map is not None:
-            lines.append(f"HD mAP        {self.hd_map:.4f}")
-            lines.append(f"HIT@1         {self.hit_at_1:.4f}")
-            lines.append(f"Top-5 mAP     {self.top5_map:.4f}")
-        return "\n".join(lines)
-
 
 def build_report(
     preds_per_query: Sequence[Sequence[MomentPrediction]] | None,
@@ -234,8 +218,8 @@ def build_report(
     positives_per_video: Sequence[np.ndarray] | None,
     tasks: str = "both",
 ) -> EvalReport:
-    """Assemble an EvalReport for the requested task mix ('mr', 'hd', 'both')."""
-    if tasks not in ("mr", "hd", "both"):
+    """Assemble an EvalReport for the requested task mix, one of ``TASKS``."""
+    if tasks not in TASKS:
         raise ValueError(f"unknown task selection {tasks!r}")
     report = EvalReport()
     if tasks in ("mr", "both"):

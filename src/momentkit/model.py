@@ -159,17 +159,27 @@ class RawPredictions:
     offset: Tensor    # clips
 
 
+def _attention_params(config: ModelConfig, rng: RngState) -> AttentionParams:
+    """One attention block with the configured width, heads, dropout and score scale."""
+    return AttentionParams(config.model_dim, config.heads, rng, drop_rate=config.dropout,
+                           scaled=config.scaled_attention)
+
+
+def _feed_forward(config: ModelConfig, rng: RngState) -> FeedForward:
+    return FeedForward(config.model_dim, rng, drop_rate=config.dropout)
+
+
 class UniModalLayer(Module):
     """Pre-norm self-attention + feed-forward over one modality's sequence."""
 
-    def __init__(self, dim: int, heads: int, drop: float, rng: RngState):
-        self.attn = AttentionParams(dim, heads, rng, drop_rate=drop)
-        self.norm_attn = LayerNorm(dim)
-        self.ff = FeedForward(dim, rng, drop_rate=drop)
-        self.norm_ff = LayerNorm(dim)
+    def __init__(self, config: ModelConfig, rng: RngState):
+        self.attn = _attention_params(config, rng)
+        self.norm_attn = LayerNorm(config.model_dim)
+        self.ff = _feed_forward(config, rng)
+        self.norm_ff = LayerNorm(config.model_dim)
 
-    def __call__(self, x, pos, scaled, rng):
-        x = self_attention(x, self.attn, pos=pos, norm=self.norm_attn, scaled=scaled, rng=rng)
+    def __call__(self, x, pos, rng):
+        x = self_attention(x, self.attn, pos=pos, norm=self.norm_attn, rng=rng)
         return self.ff(x, norm=self.norm_ff, rng=rng)
 
 
@@ -178,15 +188,16 @@ class CrossModalLayer(Module):
 
     The token set is compressed from the visual then the audio sequence (the
     updates accumulate on the same tokens), then each sequence reads the fused
-    tokens back out and runs its own feed-forward. With ``share_weights`` the
-    audio side reuses the visual attention projections; norms stay separate.
+    tokens back out and runs its own feed-forward. With ``share_cross_weights``
+    the audio side reuses the visual attention projections; norms stay separate.
     """
 
-    def __init__(self, dim: int, heads: int, drop: float, rng: RngState, share_weights: bool):
-        self.compress_visual = AttentionParams(dim, heads, rng, drop_rate=drop)
-        self.expand_visual = AttentionParams(dim, heads, rng, drop_rate=drop)
-        self.compress_audio = None if share_weights else AttentionParams(dim, heads, rng, drop_rate=drop)
-        self.expand_audio = None if share_weights else AttentionParams(dim, heads, rng, drop_rate=drop)
+    def __init__(self, config: ModelConfig, rng: RngState):
+        dim, share = config.model_dim, config.share_cross_weights
+        self.compress_visual = _attention_params(config, rng)
+        self.expand_visual = _attention_params(config, rng)
+        self.compress_audio = None if share else _attention_params(config, rng)
+        self.expand_audio = None if share else _attention_params(config, rng)
         self.norm_z_compress_visual = LayerNorm(dim)
         self.norm_x_compress_visual = LayerNorm(dim)
         self.norm_z_compress_audio = LayerNorm(dim)
@@ -195,21 +206,20 @@ class CrossModalLayer(Module):
         self.norm_z_expand_visual = LayerNorm(dim)
         self.norm_x_expand_audio = LayerNorm(dim)
         self.norm_z_expand_audio = LayerNorm(dim)
-        self.ff_visual = FeedForward(dim, rng, drop_rate=drop)
+        self.ff_visual = _feed_forward(config, rng)
         self.norm_ff_visual = LayerNorm(dim)
-        self.ff_audio = FeedForward(dim, rng, drop_rate=drop)
+        self.ff_audio = _feed_forward(config, rng)
         self.norm_ff_audio = LayerNorm(dim)
 
-    def __call__(self, vis, aud, z, vis_pos, aud_pos, scaled, rng):
-        kw = dict(scaled=scaled, rng=rng)
+    def __call__(self, vis, aud, z, vis_pos, aud_pos, rng):
         z = compress(vis, z, self.compress_visual, pos=vis_pos,
-                     norm_x=self.norm_x_compress_visual, norm_z=self.norm_z_compress_visual, **kw)
+                     norm_x=self.norm_x_compress_visual, norm_z=self.norm_z_compress_visual, rng=rng)
         z = compress(aud, z, self.compress_audio or self.compress_visual, pos=aud_pos,
-                     norm_x=self.norm_x_compress_audio, norm_z=self.norm_z_compress_audio, **kw)
+                     norm_x=self.norm_x_compress_audio, norm_z=self.norm_z_compress_audio, rng=rng)
         vis = expand(vis, z, self.expand_visual, pos=vis_pos,
-                     norm_x=self.norm_x_expand_visual, norm_z=self.norm_z_expand_visual, **kw)
+                     norm_x=self.norm_x_expand_visual, norm_z=self.norm_z_expand_visual, rng=rng)
         aud = expand(aud, z, self.expand_audio or self.expand_visual, pos=aud_pos,
-                     norm_x=self.norm_x_expand_audio, norm_z=self.norm_z_expand_audio, **kw)
+                     norm_x=self.norm_x_expand_audio, norm_z=self.norm_z_expand_audio, rng=rng)
         vis = self.ff_visual(vis, norm=self.norm_ff_visual, rng=rng)
         aud = self.ff_audio(aud, norm=self.norm_ff_audio, rng=rng)
         return vis, aud, z
@@ -218,15 +228,15 @@ class CrossModalLayer(Module):
 class QueryGeneratorLayer(Module):
     """Clip-aligned queries: the joint sequence attends into the text tokens."""
 
-    def __init__(self, dim: int, heads: int, drop: float, rng: RngState):
-        self.attn = AttentionParams(dim, heads, rng, drop_rate=drop)
-        self.norm_joint = LayerNorm(dim)
-        self.norm_text = LayerNorm(dim)
+    def __init__(self, config: ModelConfig, rng: RngState):
+        self.attn = _attention_params(config, rng)
+        self.norm_joint = LayerNorm(config.model_dim)
+        self.norm_text = LayerNorm(config.model_dim)
 
-    def __call__(self, joint, text, scaled, rng):
+    def __call__(self, joint, text, rng):
         hq = self.norm_joint(joint)
         ht = self.norm_text(text)
-        return attention(self.attn, hq, ht, residual=joint, scaled=scaled, rng=rng)
+        return attention(self.attn, hq, ht, residual=joint, rng=rng)
 
 
 class DecoderLayer(Module):
@@ -237,18 +247,19 @@ class DecoderLayer(Module):
     cross-attention; the memory table feeds its K side.
     """
 
-    def __init__(self, dim: int, heads: int, drop: float, rng: RngState):
-        self.self_attn = AttentionParams(dim, heads, rng, drop_rate=drop)
+    def __init__(self, config: ModelConfig, rng: RngState):
+        dim = config.model_dim
+        self.self_attn = _attention_params(config, rng)
         self.norm_self = LayerNorm(dim)
-        self.cross_attn = AttentionParams(dim, heads, rng, drop_rate=drop)
+        self.cross_attn = _attention_params(config, rng)
         self.norm_query = LayerNorm(dim)
-        self.ff = FeedForward(dim, rng, drop_rate=drop)
+        self.ff = _feed_forward(config, rng)
         self.norm_ff = LayerNorm(dim)
 
-    def __call__(self, q, memory, q_pos, m_pos, scaled, rng):
-        q = self_attention(q, self.self_attn, pos=q_pos, norm=self.norm_self, scaled=scaled, rng=rng)
+    def __call__(self, q, memory, q_pos, m_pos, rng):
+        q = self_attention(q, self.self_attn, pos=q_pos, norm=self.norm_self, rng=rng)
         hq = self.norm_query(q)
-        q = attention(self.cross_attn, hq, memory, residual=q, q_pos=q_pos, k_pos=m_pos, scaled=scaled, rng=rng)
+        q = attention(self.cross_attn, hq, memory, residual=q, q_pos=q_pos, k_pos=m_pos, rng=rng)
         return self.ff(q, norm=self.norm_ff, rng=rng)
 
 
@@ -261,35 +272,30 @@ class MomentModel(Module):
     def _build(self, config: ModelConfig, rng: RngState) -> None:
         config.validate()
         self.config = config
-        dim, heads, drop = config.model_dim, config.heads, config.dropout
+        dim = config.model_dim
         if config.use_visual:
             self.visual_proj = Linear(config.visual_dim, dim, rng)
             self.visual_pos = PositionalEncoding(config.max_len, dim, rng)
-            self.visual_encoder = [UniModalLayer(dim, heads, drop, rng) for _ in range(config.uni_layers)]
+            self.visual_encoder = [UniModalLayer(config, rng) for _ in range(config.uni_layers)]
             self.visual_out_norm = LayerNorm(dim)
         if config.use_audio:
             self.audio_proj = Linear(config.audio_dim, dim, rng)
             self.audio_pos = PositionalEncoding(config.max_len, dim, rng)
-            self.audio_encoder = [UniModalLayer(dim, heads, drop, rng) for _ in range(config.uni_layers)]
+            self.audio_encoder = [UniModalLayer(config, rng) for _ in range(config.uni_layers)]
             self.audio_out_norm = LayerNorm(dim)
         if config.use_visual and config.use_audio:
             self.bottleneck = BottleneckTokens(config.n_bottleneck, dim, rng)
-            self.cross_encoder = [
-                CrossModalLayer(dim, heads, drop, rng, config.share_cross_weights)
-                for _ in range(config.cross_layers)
-            ]
+            self.cross_encoder = [CrossModalLayer(config, rng) for _ in range(config.cross_layers)]
             if config.fusion == "concat":
                 self.fuse_proj = Linear(2 * dim, dim, rng)
         if config.use_text:
             self.text_proj = Linear(config.text_dim, dim, rng)
-            self.query_generator = [
-                QueryGeneratorLayer(dim, heads, drop, rng) for _ in range(config.query_layers)
-            ]
+            self.query_generator = [QueryGeneratorLayer(config, rng) for _ in range(config.query_layers)]
         else:
             self.query_seed_pos = PositionalEncoding(config.max_len, dim, rng)
         self.query_pos = PositionalEncoding(config.max_len, dim, rng)
         self.memory_pos = PositionalEncoding(config.max_len, dim, rng)
-        self.decoder = [DecoderLayer(dim, heads, drop, rng) for _ in range(config.decoder_layers)]
+        self.decoder = [DecoderLayer(config, rng) for _ in range(config.decoder_layers)]
         self.decoder_norm = LayerNorm(dim)
         self.saliency_head = Linear(dim, 1, rng)
         self.heatmap_head = Linear(dim, 1, rng)
@@ -301,7 +307,6 @@ class MomentModel(Module):
     def encode_features(self, visual: Tensor | None, audio: Tensor | None, rng: RngState | None = None) -> Tensor:
         """Fuse raw modality features into the joint (N_v, model_dim) sequence."""
         cfg = self.config
-        scaled = cfg.scaled_attention
         streams: dict[str, tuple[Tensor, Tensor]] = {}
         for name, feats in (("visual", visual), ("audio", audio)):
             if not getattr(cfg, f"use_{name}"):
@@ -312,7 +317,7 @@ class MomentModel(Module):
             x = getattr(self, f"{name}_proj")(x)
             pos = getattr(self, f"{name}_pos").rows(x.shape[0])
             for layer in getattr(self, f"{name}_encoder"):
-                x = layer(x, pos, scaled, rng)
+                x = layer(x, pos, rng)
             streams[name] = (x, pos)
         if len(streams) == 2:
             vis, vis_pos = streams["visual"]
@@ -323,7 +328,7 @@ class MomentModel(Module):
                 )
             z = self.bottleneck.value()
             for layer in self.cross_encoder:
-                vis, aud, z = layer(vis, aud, z, vis_pos, aud_pos, scaled, rng)
+                vis, aud, z = layer(vis, aud, z, vis_pos, aud_pos, rng)
             vis = self.visual_out_norm(vis)
             aud = self.audio_out_norm(aud)
             if cfg.fusion == "sum":
@@ -345,26 +350,25 @@ class MomentModel(Module):
             t = self.text_proj(t)
             q = joint
             for layer in self.query_generator:
-                q = layer(q, t, cfg.scaled_attention, rng)
+                q = layer(q, t, rng)
             return q
         return ag.add(joint, self.query_seed_pos.rows(joint.shape[0]))
 
     def decode(self, joint: Tensor, queries: Tensor, rng: RngState | None = None) -> RawPredictions:
         """Run the query decoder and the four heads."""
-        cfg = self.config
         n = queries.shape[0]
         q_pos = self.query_pos.rows(n)
         m_pos = self.memory_pos.rows(n)
         q = queries
         for layer in self.decoder:
-            q = layer(q, joint, q_pos, m_pos, cfg.scaled_attention, rng)
+            q = layer(q, joint, q_pos, m_pos, rng)
         q = self.decoder_norm(q)
 
         def head(linear: Linear) -> Tensor:
             return ag.reshape(linear(q), (n,))
 
         window = head(self.window_head)
-        if cfg.positive_window:
+        if self.config.positive_window:
             window = ag.softplus(window)
         return RawPredictions(
             saliency=ag.sigmoid(head(self.saliency_head)),

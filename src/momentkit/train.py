@@ -31,10 +31,8 @@ from .losses import (
     saliency_loss,
     total_loss,
 )
-from .metrics import EvalReport, build_report
+from .metrics import TASKS, EvalReport, build_report
 from .model import ConfigError, MomentModel, save_checkpoint
-
-TASKS = ("mr", "hd", "both")
 
 
 @dataclass

@@ -85,22 +85,22 @@ def test_criterion_2_equation_oracles():
         heads = int(rng.choice([1, 2, 4]))
         n_x = int(rng.integers(1, 9))   # N_v <= 8
         n_z = int(rng.integers(1, 5))
-        params = blocks.AttentionParams(dim, heads, RngState(6000 + trial))
+        params = blocks.AttentionParams(dim, heads, RngState(6000 + trial), scaled=False)
         w = (params.w_q.data, params.w_k.data, params.w_v.data, params.w_z.data)
         x = rng.normal(size=(n_x, dim))
         z = rng.normal(size=(n_z, dim))
         pos_x = rng.normal(size=(n_x, dim)) * 0.1
         px = Tensor(pos_x)
 
-        got = blocks.self_attention(Tensor(x), params, pos=px, scaled=False).data
+        got = blocks.self_attention(Tensor(x), params, pos=px).data
         want = naive_attention(*w, x, x, x, x, heads, q_pos=pos_x, k_pos=pos_x)
         worst = max(worst, float(np.abs(got - want).max()))
 
-        got = blocks.compress(Tensor(x), Tensor(z), params, pos=px, scaled=False).data
+        got = blocks.compress(Tensor(x), Tensor(z), params, pos=px).data
         want = naive_attention(*w, z, x, x, z, heads, k_pos=pos_x)  # positions feed keys only
         worst = max(worst, float(np.abs(got - want).max()))
 
-        got = blocks.expand(Tensor(x), Tensor(z), params, pos=px, scaled=False).data
+        got = blocks.expand(Tensor(x), Tensor(z), params, pos=px).data
         want = naive_attention(*w, x, z, z, x, heads, q_pos=pos_x)  # positions feed queries only
         worst = max(worst, float(np.abs(got - want).max()))
     ok = worst < 1e-10

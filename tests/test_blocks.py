@@ -44,8 +44,8 @@ def naive_attention(w_q, w_k, w_v, w_z, q_in, k_in, v_in, residual, n_heads, q_p
     return residual + merged @ w_z
 
 
-def make_params(dim, n_heads, seed):
-    return blocks.AttentionParams(dim, n_heads, RngState(seed))
+def make_params(dim, n_heads, seed, scaled=True):
+    return blocks.AttentionParams(dim, n_heads, RngState(seed), scaled=scaled)
 
 
 @pytest.mark.parametrize("wiring", ["self", "compress", "expand"])
@@ -57,7 +57,7 @@ def test_attention_wirings_match_naive_oracle(wiring):
         n_heads = int(rng.choice([1, 2, 4]))
         n_x = int(rng.integers(1, 8))
         n_z = int(rng.integers(1, 5))
-        params = make_params(dim, n_heads, seed=2000 + trial)
+        params = make_params(dim, n_heads, seed=2000 + trial, scaled=False)
         x = rng.normal(size=(n_x, dim))
         z = rng.normal(size=(n_z, dim))
         use_pos = trial % 2 == 0
@@ -66,17 +66,17 @@ def test_attention_wirings_match_naive_oracle(wiring):
         w = {k: getattr(params, k).data for k in ("w_q", "w_k", "w_v", "w_z")}
 
         if wiring == "self":
-            got = blocks.self_attention(Tensor(x), params, pos=pos_t, scaled=False)
+            got = blocks.self_attention(Tensor(x), params, pos=pos_t)
             want = naive_attention(w["w_q"], w["w_k"], w["w_v"], w["w_z"],
                                    x, x, x, residual=x, n_heads=n_heads,
                                    q_pos=pos, k_pos=pos)
         elif wiring == "compress":
-            got = blocks.compress(Tensor(x), Tensor(z), params, pos=pos_t, scaled=False)
+            got = blocks.compress(Tensor(x), Tensor(z), params, pos=pos_t)
             want = naive_attention(w["w_q"], w["w_k"], w["w_v"], w["w_z"],
                                    z, x, x, residual=z, n_heads=n_heads,
                                    q_pos=None, k_pos=pos)
         else:
-            got = blocks.expand(Tensor(x), Tensor(z), params, pos=pos_t, scaled=False)
+            got = blocks.expand(Tensor(x), Tensor(z), params, pos=pos_t)
             want = naive_attention(w["w_q"], w["w_k"], w["w_v"], w["w_z"],
                                    x, z, z, residual=x, n_heads=n_heads,
                                    q_pos=pos, k_pos=None)
@@ -90,13 +90,13 @@ def test_uniform_weights_reduce_to_neighbourhood_mean():
     # w_q = w_k = 0 makes every score zero, so attention averages the values;
     # with identity value/output maps the block is x_i + mean_j x_j exactly.
     dim = 4
-    params = make_params(dim, 1, seed=3)
+    params = make_params(dim, 1, seed=3, scaled=False)
     params.w_q.data[:] = 0.0
     params.w_k.data[:] = 0.0
     params.w_v.data[:] = np.eye(dim)
     params.w_z.data[:] = np.eye(dim)
     x = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-    out = blocks.self_attention(Tensor(x), params, scaled=False)
+    out = blocks.self_attention(Tensor(x), params)
     np.testing.assert_allclose(out.data, x + x.mean(axis=0), atol=1e-14)
 
 
@@ -121,9 +121,10 @@ def test_scaled_flag_equals_rescaled_query_weights():
     params = make_params(dim, n_heads, seed=6)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, dim))
-    scaled_out = blocks.self_attention(Tensor(x), params, scaled=True)
-    params.w_q.data[:] = params.w_q.data / math.sqrt(head_dim)
-    manual = blocks.self_attention(Tensor(x), params, scaled=False)
+    scaled_out = blocks.self_attention(Tensor(x), params)
+    unscaled = make_params(dim, n_heads, seed=6, scaled=False)
+    unscaled.w_q.data[:] = unscaled.w_q.data / math.sqrt(head_dim)
+    manual = blocks.self_attention(Tensor(x), unscaled)
     np.testing.assert_allclose(scaled_out.data, manual.data, atol=1e-12)
 
 
@@ -217,11 +218,11 @@ def looped_attention(params, q_in, kv_in, residual, q_pos=None, k_pos=None, scal
 @pytest.mark.parametrize("dim,n_heads,n_q,n_k", [(8, 1, 5, 3), (16, 4, 7, 7), (64, 8, 4, 33), (64, 8, 40, 40)])
 def test_batched_heads_equal_the_per_head_loop_bitwise(dim, n_heads, n_q, n_k):
     rng = np.random.default_rng(dim + n_q)
-    params = make_params(dim, n_heads, seed=n_k)
     q, kv, q_pos, k_pos = (rng.normal(size=(n, dim)) for n in (n_q, n_k, n_q, n_k))
     for scaled in (True, False):
+        params = make_params(dim, n_heads, seed=n_k, scaled=scaled)
         got = blocks.attention(params, Tensor(q), Tensor(kv), residual=Tensor(q),
-                               q_pos=Tensor(q_pos), k_pos=Tensor(k_pos), scaled=scaled)
+                               q_pos=Tensor(q_pos), k_pos=Tensor(k_pos))
         np.testing.assert_array_equal(got.data, looped_attention(params, q, kv, q, q_pos, k_pos, scaled))
 
 
@@ -290,9 +291,9 @@ def test_attention_dropout_only_active_in_training():
 
 def test_single_token_self_attention_closed_form():
     # one position: the softmax weight is exactly 1, so x' = x + (x Wv) Wz
-    params = make_params(6, 2, seed=30)
+    params = make_params(6, 2, seed=30, scaled=False)
     x = np.random.default_rng(31).normal(size=(1, 6))
-    out = blocks.self_attention(Tensor(x), params, scaled=False)
+    out = blocks.self_attention(Tensor(x), params)
     want = x + (x @ params.w_v.data) @ params.w_z.data
     np.testing.assert_allclose(out.data, want, atol=1e-12)
 

@@ -208,6 +208,10 @@ BAD_CONFIG_LINES = {
     "eval.top_k = true": ("predict", DataError),
     "eval.top_k = 2.5": ("eval", DataError),
     "eval.top_k = 0": ("predict", DataError),
+    "trian.epochs = 3": ("train", DataError),
+    "modle.heads = 4": ("predict", DataError),
+    "eval.topk = 1": ("predict", DataError),
+    "eval.tasks = 5": ("eval", DataError),
 }
 
 

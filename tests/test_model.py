@@ -107,29 +107,27 @@ def test_dropout_draws_follow_the_stream(share):
 
 def manual_forward(model: MomentModel, sample: VideoSample):
     """Re-derive the eval-mode forward pass block by block."""
-    cfg = model.config
-    sc = cfg.scaled_attention
     xv = model.visual_proj(Tensor(sample.visual.array.astype(np.float64)))
     xa = model.audio_proj(Tensor(sample.audio.array.astype(np.float64)))
     pv = model.visual_pos.rows(xv.shape[0])
     pa = model.audio_pos.rows(xa.shape[0])
     lv = model.visual_encoder[0]
-    xv = blocks.self_attention(xv, lv.attn, pos=pv, norm=lv.norm_attn, scaled=sc)
+    xv = blocks.self_attention(xv, lv.attn, pos=pv, norm=lv.norm_attn)
     xv = lv.ff(xv, norm=lv.norm_ff)
     la = model.audio_encoder[0]
-    xa = blocks.self_attention(xa, la.attn, pos=pa, norm=la.norm_attn, scaled=sc)
+    xa = blocks.self_attention(xa, la.attn, pos=pa, norm=la.norm_attn)
     xa = la.ff(xa, norm=la.norm_ff)
 
     cl = model.cross_encoder[0]
     z = model.bottleneck.value()
     z = blocks.compress(xv, z, cl.compress_visual, pos=pv,
-                        norm_x=cl.norm_x_compress_visual, norm_z=cl.norm_z_compress_visual, scaled=sc)
+                        norm_x=cl.norm_x_compress_visual, norm_z=cl.norm_z_compress_visual)
     z = blocks.compress(xa, z, cl.compress_audio, pos=pa,
-                        norm_x=cl.norm_x_compress_audio, norm_z=cl.norm_z_compress_audio, scaled=sc)
+                        norm_x=cl.norm_x_compress_audio, norm_z=cl.norm_z_compress_audio)
     ev = blocks.expand(xv, z, cl.expand_visual, pos=pv,
-                       norm_x=cl.norm_x_expand_visual, norm_z=cl.norm_z_expand_visual, scaled=sc)
+                       norm_x=cl.norm_x_expand_visual, norm_z=cl.norm_z_expand_visual)
     ea = blocks.expand(xa, z, cl.expand_audio, pos=pa,
-                       norm_x=cl.norm_x_expand_audio, norm_z=cl.norm_z_expand_audio, scaled=sc)
+                       norm_x=cl.norm_x_expand_audio, norm_z=cl.norm_z_expand_audio)
     ev = cl.ff_visual(ev, norm=cl.norm_ff_visual)
     ea = cl.ff_audio(ea, norm=cl.norm_ff_audio)
     joint = ag.add(model.visual_out_norm(ev), model.audio_out_norm(ea))
@@ -137,15 +135,15 @@ def manual_forward(model: MomentModel, sample: VideoSample):
     t = model.text_proj(Tensor(sample.text.array.astype(np.float64)))
     qg = model.query_generator[0]
     ht = qg.norm_text(t)
-    q = blocks.attention(qg.attn, qg.norm_joint(joint), ht, residual=joint, scaled=sc)
+    q = blocks.attention(qg.attn, qg.norm_joint(joint), ht, residual=joint)
 
     n = q.shape[0]
     qp = model.query_pos.rows(n)
     mp = model.memory_pos.rows(n)
     dl = model.decoder[0]
-    q = blocks.self_attention(q, dl.self_attn, pos=qp, norm=dl.norm_self, scaled=sc)
+    q = blocks.self_attention(q, dl.self_attn, pos=qp, norm=dl.norm_self)
     q = blocks.attention(dl.cross_attn, dl.norm_query(q), joint,
-                         residual=q, q_pos=qp, k_pos=mp, scaled=sc)
+                         residual=q, q_pos=qp, k_pos=mp)
     q = dl.ff(q, norm=dl.norm_ff)
     q = model.decoder_norm(q)
     return {
@@ -166,12 +164,16 @@ def test_forward_matches_blockwise_composition():
 
 
 def test_forward_matches_composition_for_scaled_and_unscaled():
+    heatmaps = []
     for scaled in (True, False):
         model = MomentModel(small_config(scaled_attention=scaled), seed=8)
         sample = make_sample(n_clips=5, seed=9)
         preds = model.forward(sample)
         want = manual_forward(model, sample)
         np.testing.assert_allclose(preds.heatmap.data, want["heatmap"], atol=1e-10)
+        heatmaps.append(preds.heatmap.data)
+    # same seed, same parameters: only the configured score scale tells the two apart
+    assert not np.array_equal(*heatmaps)
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +365,25 @@ def test_full_model_finite_difference():
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_roundtrip_and_byte_determinism(tmp_path):
-    model = MomentModel(small_config(), seed=32)
-    sample = make_sample(seed=33)
-    before = model.forward(sample)
-    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(model, p1, extra={"epoch": 3})
-    save_checkpoint(model, p2, extra={"epoch": 3})
-    assert p1.read_bytes() == p2.read_bytes()
+    # the unscaled, shared-weight model catches a loader that drops the score scale
+    for cfg in (small_config(), small_config(scaled_attention=False, share_cross_weights=True)):
+        model = MomentModel(cfg, seed=32)
+        sample = make_sample(seed=33)
+        before = model.forward(sample)
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(model, p1, extra={"epoch": 3})
+        save_checkpoint(model, p2, extra={"epoch": 3})
+        assert p1.read_bytes() == p2.read_bytes()
 
-    loaded, extra = load_checkpoint(p1)
-    assert extra == {"epoch": 3}
-    assert loaded.config == model.config
-    for (na, a), (nb, b) in zip(model.named_parameters(), loaded.named_parameters()):
-        assert na == nb
-        assert np.array_equal(a.data, b.data)
-    after = loaded.forward(sample)
-    assert np.array_equal(before.heatmap.data, after.heatmap.data)
+        loaded, extra = load_checkpoint(p1)
+        assert extra == {"epoch": 3}
+        assert loaded.config == model.config
+        for (na, a), (nb, b) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert na == nb
+            assert np.array_equal(a.data, b.data)
+        after = loaded.forward(sample)
+        for field in ("saliency", "heatmap", "window", "offset"):
+            assert np.array_equal(getattr(before, field).data, getattr(after, field).data)
 
 
 def _payload_start(raw: bytes) -> int:
