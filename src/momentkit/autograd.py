@@ -20,7 +20,7 @@ Design constraints:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -344,7 +344,7 @@ def clip(a: Tensor, low: float, high: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# indexing and concatenation
+# indexing
 # ---------------------------------------------------------------------------
 
 
@@ -372,20 +372,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         _accumulate(a, full)
 
     return _make(data, (a,), backward)
-
-
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = [_coerce(t) for t in tensors]
-    if not parts:
-        raise ShapeError("concat requires at least one tensor")
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    splits = np.cumsum([p.shape[axis] for p in parts[:-1]])
-
-    def backward(g):
-        for p, part in zip(parts, np.split(g, splits, axis=axis)):
-            _accumulate(p, part)
-
-    return _make(data, tuple(parts), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,6 @@ class AttentionParams(Module):
     def __init__(self, dim: int, n_heads: int, rng: RngState, drop_rate: float = 0.0, scaled: bool = True):
         if dim % n_heads != 0:
             raise ShapeError(f"model dim {dim} is not divisible by head count {n_heads}")
-        self.dim = dim
         self.n_heads = n_heads
         self.head_dim = dim // n_heads
         self.drop_rate = drop_rate

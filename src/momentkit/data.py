@@ -213,7 +213,7 @@ def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
     if version != MANIFEST_VERSION:
         raise DataError(f"{manifest_path}: unsupported manifest version {version!r}")
     base = manifest.get("coordinate_base", 0)
-    if base not in (0, 1):
+    if isinstance(base, bool) or base not in (0, 1):
         raise DataError(f"{manifest_path}: coordinate_base must be 0 or 1, got {base!r}")
     try:
         threshold = float(manifest.get("positive_threshold", 0.5))
@@ -228,10 +228,14 @@ def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
         seqs: dict[str, FeatureSequence | None] = {}
         for mod in MODALITIES:
             rel = rec.get(f"{mod}_path")
+            if rel is not None and not isinstance(rel, str):
+                raise DataError(f"sample {vid}: {mod}_path must be a string, got {rel!r}")
             try:
                 seqs[mod] = FeatureSequence(read_matrix(root / rel), mod) if rel else None
             except DataError as exc:
                 raise DataError(f"sample {vid}: {exc}") from exc
+        if not isinstance(rec.get("moments", []), list):
+            raise DataError(f"sample {vid}: moments must be a list, got {rec['moments']!r}")
         moments = []
         for m in rec.get("moments", []):
             try:

@@ -35,29 +35,23 @@ class MomentPrediction:
     confidence: float
 
 
-def extract_centers(heatmap: np.ndarray, mode: str = "local_maxima", top_k: int = 10) -> list[int]:
+def extract_centers(heatmap: np.ndarray, top_k: int = 10) -> list[int]:
     """Pick candidate center indices from a heatmap, best score first.
 
-    ``local_maxima`` keeps indices at least as large as every neighbour (the
-    two boundary clips compare against their single neighbour); ``all_clips``
-    keeps everything, which trades precision for recall. Ties rank by lower
-    index.
+    Keeps the local maxima: indices at least as large as every neighbour (the
+    two boundary clips compare against their single neighbour). Ties rank by
+    lower index.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     heatmap = np.asarray(heatmap, dtype=np.float64)
     n = heatmap.shape[0]
-    if mode == "local_maxima":
-        keep = []
-        for i in range(n):
-            left_ok = i == 0 or heatmap[i] >= heatmap[i - 1]
-            right_ok = i == n - 1 or heatmap[i] >= heatmap[i + 1]
-            if left_ok and right_ok:
-                keep.append(i)
-    elif mode == "all_clips":
-        keep = list(range(n))
-    else:
-        raise ValueError(f"unknown center extraction mode {mode!r}")
+    keep = []
+    for i in range(n):
+        left_ok = i == 0 or heatmap[i] >= heatmap[i - 1]
+        right_ok = i == n - 1 or heatmap[i] >= heatmap[i + 1]
+        if left_ok and right_ok:
+            keep.append(i)
     keep.sort(key=lambda i: (-heatmap[i], i))
     return keep[:top_k]
 

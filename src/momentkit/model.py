@@ -7,15 +7,15 @@ time):
                                                              |  compress into
   audio  ----> pre-dropout -> project -> self-attn encoder --+  N_b bottleneck
                                                              |  tokens, expand
-                                joint = fuse(expanded pair) <-+  back out
+                             joint = sum of the normed pair <-+  back out
   text   ----> pre-dropout -> project ----------------+
                                                       v
   queries = joint attending to text tokens   (or joint + learned seed
                                               positions when text is off)
   decoder: per layer, query self-attention, cross-attention into the joint
   sequence (separate learned positional tables for queries and memory), FFN
-  heads: saliency & center heatmap (sigmoid), window (optionally softplus
-  so durations stay positive), offset (linear)
+  heads: saliency & center heatmap (sigmoid), window (softplus so durations
+  stay positive), offset (linear)
 
 With a single input modality the bottleneck stage is skipped and its closing
 layer norm moves to the end of that modality's encoder, so disabled
@@ -60,8 +60,6 @@ from .blocks import (
 )
 from .data import VideoSample
 
-FUSION_MODES = ("sum", "concat", "mean")
-
 
 class ConfigError(ValueError):
     """Invalid model configuration, or a sample that does not match it."""
@@ -95,6 +93,10 @@ def check_field_types(cfg, label: str, error: type[Exception]) -> None:
             raise error(f"{label}.{f.name} must be {getattr(hint, '__name__', hint)}, got {json.dumps(value)}")
 
 
+# retired topology switches that version-1 headers still carry, each with the one value that loads
+_RETIRED = {"scaled_attention": True, "positive_window": True, "fusion": "sum", "share_cross_weights": False}
+
+
 @dataclass
 class ModelConfig:
     model_dim: int = 256
@@ -114,10 +116,6 @@ class ModelConfig:
     audio_dim: int = 16
     text_dim: int = 20
     max_len: int = 512
-    scaled_attention: bool = True
-    positive_window: bool = True  # softplus on the window head
-    fusion: str = "sum"
-    share_cross_weights: bool = False
 
     def validate(self) -> None:
         if not (self.use_visual or self.use_audio):
@@ -128,8 +126,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.model_dim % self.heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by heads {self.heads}")
-        if self.fusion not in FUSION_MODES:
-            raise ConfigError(f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
         for name in ("dropout", "pre_dropout_av", "pre_dropout_text"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
@@ -139,7 +135,16 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
-        """A validated config from a checkpoint header; a field of the wrong type raises ``TypeError``."""
+        """A validated config from a checkpoint header; a field of the wrong type raises ``TypeError``.
+
+        A header may still carry a retired switch, but only at the one value
+        the model builds.
+        """
+        doc = {**doc}
+        for key, value in _RETIRED.items():
+            got = doc.pop(key, value)
+            if type(got) is not type(value) or got != value:
+                raise ConfigError(f"config.{key} is retired; only {json.dumps(value)} loads, got {json.dumps(got)}")
         try:
             cfg = cls(**doc)
         except TypeError as exc:
@@ -160,9 +165,8 @@ class RawPredictions:
 
 
 def _attention_params(config: ModelConfig, rng: RngState) -> AttentionParams:
-    """One attention block with the configured width, heads, dropout and score scale."""
-    return AttentionParams(config.model_dim, config.heads, rng, drop_rate=config.dropout,
-                           scaled=config.scaled_attention)
+    """One attention block with the configured width, heads and dropout."""
+    return AttentionParams(config.model_dim, config.heads, rng, drop_rate=config.dropout)
 
 
 def _feed_forward(config: ModelConfig, rng: RngState) -> FeedForward:
@@ -188,16 +192,16 @@ class CrossModalLayer(Module):
 
     The token set is compressed from the visual then the audio sequence (the
     updates accumulate on the same tokens), then each sequence reads the fused
-    tokens back out and runs its own feed-forward. With ``share_cross_weights``
-    the audio side reuses the visual attention projections; norms stay separate.
+    tokens back out and runs its own feed-forward. Each of the four attentions
+    has its own weights.
     """
 
     def __init__(self, config: ModelConfig, rng: RngState):
-        dim, share = config.model_dim, config.share_cross_weights
+        dim = config.model_dim
         self.compress_visual = _attention_params(config, rng)
         self.expand_visual = _attention_params(config, rng)
-        self.compress_audio = None if share else _attention_params(config, rng)
-        self.expand_audio = None if share else _attention_params(config, rng)
+        self.compress_audio = _attention_params(config, rng)
+        self.expand_audio = _attention_params(config, rng)
         self.norm_z_compress_visual = LayerNorm(dim)
         self.norm_x_compress_visual = LayerNorm(dim)
         self.norm_z_compress_audio = LayerNorm(dim)
@@ -214,11 +218,11 @@ class CrossModalLayer(Module):
     def __call__(self, vis, aud, z, vis_pos, aud_pos, rng):
         z = compress(vis, z, self.compress_visual, pos=vis_pos,
                      norm_x=self.norm_x_compress_visual, norm_z=self.norm_z_compress_visual, rng=rng)
-        z = compress(aud, z, self.compress_audio or self.compress_visual, pos=aud_pos,
+        z = compress(aud, z, self.compress_audio, pos=aud_pos,
                      norm_x=self.norm_x_compress_audio, norm_z=self.norm_z_compress_audio, rng=rng)
         vis = expand(vis, z, self.expand_visual, pos=vis_pos,
                      norm_x=self.norm_x_expand_visual, norm_z=self.norm_z_expand_visual, rng=rng)
-        aud = expand(aud, z, self.expand_audio or self.expand_visual, pos=aud_pos,
+        aud = expand(aud, z, self.expand_audio, pos=aud_pos,
                      norm_x=self.norm_x_expand_audio, norm_z=self.norm_z_expand_audio, rng=rng)
         vis = self.ff_visual(vis, norm=self.norm_ff_visual, rng=rng)
         aud = self.ff_audio(aud, norm=self.norm_ff_audio, rng=rng)
@@ -286,8 +290,6 @@ class MomentModel(Module):
         if config.use_visual and config.use_audio:
             self.bottleneck = BottleneckTokens(config.n_bottleneck, dim, rng)
             self.cross_encoder = [CrossModalLayer(config, rng) for _ in range(config.cross_layers)]
-            if config.fusion == "concat":
-                self.fuse_proj = Linear(2 * dim, dim, rng)
         if config.use_text:
             self.text_proj = Linear(config.text_dim, dim, rng)
             self.query_generator = [QueryGeneratorLayer(config, rng) for _ in range(config.query_layers)]
@@ -329,13 +331,7 @@ class MomentModel(Module):
             z = self.bottleneck.value()
             for layer in self.cross_encoder:
                 vis, aud, z = layer(vis, aud, z, vis_pos, aud_pos, rng)
-            vis = self.visual_out_norm(vis)
-            aud = self.audio_out_norm(aud)
-            if cfg.fusion == "sum":
-                return ag.add(vis, aud)
-            if cfg.fusion == "mean":
-                return ag.mul(ag.add(vis, aud), 0.5)
-            return self.fuse_proj(ag.concat([vis, aud], axis=1))
+            return ag.add(self.visual_out_norm(vis), self.audio_out_norm(aud))
         # single modality: no bottleneck stage; closing norm sits on the encoder
         ((name, (x, _)),) = streams.items()
         return getattr(self, f"{name}_out_norm")(x)
@@ -367,9 +363,7 @@ class MomentModel(Module):
         def head(linear: Linear) -> Tensor:
             return ag.reshape(linear(q), (n,))
 
-        window = head(self.window_head)
-        if self.config.positive_window:
-            window = ag.softplus(window)
+        window = ag.softplus(head(self.window_head))
         return RawPredictions(
             saliency=ag.sigmoid(head(self.saliency_head)),
             heatmap=ag.sigmoid(head(self.heatmap_head)),

@@ -277,23 +277,20 @@ def test_gather_rows_accumulates_repeats():
     np.testing.assert_array_equal(x.grad, expected)
 
 
-def test_slice_and_concat_roundtrip_gradients():
+def test_slice_rows_gradients():
     rng = np.random.default_rng(13)
     x = ag.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-    w = ag.Tensor(rng.normal(size=(6, 4)))
+    w = ag.Tensor(rng.normal(size=(4, 4)))
 
     def loss():
-        top = ag.slice_rows(x, 0, 2)
-        rest = ag.slice_rows(x, 2, 6)
-        return ag.sum_(ag.mul(ag.concat([top, rest], axis=0), w))
+        return ag.sum_(ag.mul(ag.slice_rows(x, 1, 5), w))
 
     fd_check(loss, [("x", x)])
-    # the round trip must also be exact in the forward direction
-    y = ag.concat([ag.slice_rows(x, 0, 3), ag.slice_rows(x, 3, 6)], axis=0)
-    np.testing.assert_array_equal(y.data, x.data)
+    for a, b in ((0, 2), (2, 6), (3, 3)):
+        np.testing.assert_array_equal(ag.slice_rows(x, a, b).data, x.data[a:b])
 
 
-def test_transpose_reshape_mean_gradients():
+def test_reshape_mean_gradients():
     rng = np.random.default_rng(14)
     x = ag.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     w = ag.Tensor(rng.normal(size=(2, 3, 4)))
@@ -362,7 +359,7 @@ def test_rng_state_is_reproducible_and_tracks_position():
     assert not np.array_equal(a.uniform(-1, 1, 4), c.uniform(-1, 1, 4))
 
 
-def test_tensor_item_and_operator_sugar():
+def test_tensor_item():
     x = ag.Tensor(2.0, requires_grad=True)
     y = ag.Tensor(3.0, requires_grad=True)
     out = ag.mul(ag.add(ag.mul(x, y), x), 0.5)

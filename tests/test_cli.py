@@ -177,6 +177,14 @@ MALFORMED = {
     "checkpoint config heads true": (_rewrite_checkpoint_header, _set("config", "heads", value=True), CheckpointError),
     "checkpoint config n_bottleneck 2.5": (
         _rewrite_checkpoint_header, _set("config", "n_bottleneck", value=2.5), CheckpointError),
+    "checkpoint config scaled_attention false": (
+        _rewrite_checkpoint_header, _set("config", "scaled_attention", value=False), ConfigError),
+    "checkpoint config positive_window false": (
+        _rewrite_checkpoint_header, _set("config", "positive_window", value=False), ConfigError),
+    "checkpoint config fusion concat": (
+        _rewrite_checkpoint_header, _set("config", "fusion", value="concat"), ConfigError),
+    "checkpoint config share_cross_weights true": (
+        _rewrite_checkpoint_header, _set("config", "share_cross_weights", value=True), ConfigError),
     "manifest without samples": (_rewrite_manifest, _drop("samples"), DataError),
     "manifest not an object": (_rewrite_manifest, lambda doc: [doc], DataError),
     "negative clip_seconds": (_rewrite_manifest, _set("samples", 0, "clip_seconds", value=-1), DataError),
@@ -188,6 +196,10 @@ MALFORMED = {
     "non-numeric clip_seconds": (_rewrite_manifest, _set("samples", 0, "clip_seconds", value="abc"), DataError),
     "non-numeric saliency": (_rewrite_manifest, _set("samples", 0, "saliency", 0, value="x"), DataError),
     "non-numeric positive_threshold": (_rewrite_manifest, _set("positive_threshold", value="abc"), DataError),
+    "boolean coordinate_base": (_rewrite_manifest, _set("coordinate_base", value=True), DataError),
+    "null moments": (_rewrite_manifest, _set("samples", 0, "moments", value=None), DataError),
+    "numeric moments": (_rewrite_manifest, _set("samples", 0, "moments", value=5), DataError),
+    "numeric visual_path": (_rewrite_manifest, _set("samples", 0, "visual_path", value=5), DataError),
 }
 
 
@@ -212,6 +224,7 @@ BAD_CONFIG_LINES = {
     "modle.heads = 4": ("predict", DataError),
     "eval.topk = 1": ("predict", DataError),
     "eval.tasks = 5": ("eval", DataError),
+    "model.fusion = sum": ("train", DataError),
 }
 
 

@@ -276,7 +276,7 @@ def test_build_report_task_selection():
         M.build_report(preds_q, gts_q, sal, pos, tasks="everything")
 
 
-def test_report_serialization_and_table():
+def test_report_serialization():
     rep = M.build_report(
         [[P(0.0, 5.0, 0.9)]], [[(0.0, 5.0)]], [np.array([0.9, 0.1])], [np.array([1, 0], dtype=bool)]
     )

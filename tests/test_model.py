@@ -22,6 +22,7 @@ from momentkit.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from momentkit.train import predict
 
 SMALL = dict(
     model_dim=8, heads=2, uni_layers=1, cross_layers=1, decoder_layers=1,
@@ -82,10 +83,9 @@ def test_training_dropout_changes_outputs_but_is_seed_reproducible():
     assert not np.array_equal(first.heatmap.data, other.heatmap.data)
 
 
-@pytest.mark.parametrize("share", [False, True])
-def test_dropout_draws_follow_the_stream(share):
+def test_dropout_draws_follow_the_stream():
     """A dropout stream makes a forward draw one mask per dropout site; without one it equals zero-rate dropout."""
-    model = MomentModel(small_config(share_cross_weights=share), seed=4)
+    model = MomentModel(small_config(), seed=4)
     sample = make_sample(seed=5)
     rng = RngState(11)
     model.forward(sample, rng)
@@ -94,7 +94,7 @@ def test_dropout_draws_follow_the_stream(share):
     assert rng.position == 3 + 2 * 3 + 8 + 1 + 4 == 22
     no_rates = dict(dropout=0.0, pre_dropout_av=0.0, pre_dropout_text=0.0)
     unused = RngState(11)
-    zero_rate = MomentModel(small_config(share_cross_weights=share, **no_rates), seed=4).forward(sample, unused)
+    zero_rate = MomentModel(small_config(**no_rates), seed=4).forward(sample, unused)
     assert unused.position == 0
     eval_out = model.forward(sample)
     for field in ("saliency", "heatmap", "window", "offset"):
@@ -161,19 +161,6 @@ def test_forward_matches_blockwise_composition():
     want = manual_forward(model, sample)
     for field in ("saliency", "heatmap", "window", "offset"):
         np.testing.assert_allclose(getattr(preds, field).data, want[field], atol=1e-10)
-
-
-def test_forward_matches_composition_for_scaled_and_unscaled():
-    heatmaps = []
-    for scaled in (True, False):
-        model = MomentModel(small_config(scaled_attention=scaled), seed=8)
-        sample = make_sample(n_clips=5, seed=9)
-        preds = model.forward(sample)
-        want = manual_forward(model, sample)
-        np.testing.assert_allclose(preds.heatmap.data, want["heatmap"], atol=1e-10)
-        heatmaps.append(preds.heatmap.data)
-    # same seed, same parameters: only the configured score scale tells the two apart
-    assert not np.array_equal(*heatmaps)
 
 
 # ---------------------------------------------------------------------------
@@ -260,33 +247,6 @@ def test_disabled_modalities_have_no_parameters():
     assert not any(n.startswith("visual") for n in names)
 
 
-def test_shared_cross_weights_shrink_parameter_count():
-    private = MomentModel(small_config(), seed=21)
-    shared = MomentModel(small_config(share_cross_weights=True), seed=21)
-    def n_params(m):
-        return sum(p.size for _, p in m.named_parameters())
-    # exactly two attention parameter sets (4 square mats each) disappear
-    dim = SMALL["model_dim"]
-    assert n_params(private) - n_params(shared) == 2 * 4 * dim * dim
-    sample = make_sample(seed=22)
-    shared.forward(sample)  # still runs
-
-
-def test_fusion_modes_agree_where_they_should():
-    mean_model = MomentModel(small_config(fusion="mean"), seed=23)
-    sum_model = MomentModel(small_config(fusion="sum"), seed=23)
-    sample = make_sample(seed=24)
-    feats_m = mean_model._sample_tensors(sample)
-    feats_s = sum_model._sample_tensors(sample)
-    jm = mean_model.encode_features(feats_m["visual"], feats_m["audio"])
-    js = sum_model.encode_features(feats_s["visual"], feats_s["audio"])
-    np.testing.assert_allclose(jm.data * 2.0, js.data, atol=1e-12)
-    concat = MomentModel(small_config(fusion="concat"), seed=23)
-    feats_c = concat._sample_tensors(sample)
-    jc = concat.encode_features(feats_c["visual"], feats_c["audio"])
-    assert jc.shape == js.shape
-
-
 # ---------------------------------------------------------------------------
 # validation errors
 # ---------------------------------------------------------------------------
@@ -321,8 +281,8 @@ def test_config_validation():
             ModelConfig(**{field: size}).validate()
         with pytest.raises(ConfigError, match=field):
             MomentModel(small_config(**{field: size}))
-    with pytest.raises(ConfigError):
-        ModelConfig(fusion="max").validate()
+    with pytest.raises(ConfigError, match=re.escape("config.fusion")):
+        ModelConfig.from_dict({"model_dim": 8, "heads": 2, "fusion": "max"})
     with pytest.raises(ConfigError):
         ModelConfig.from_dict({"model_dim": 8, "heads": 2, "no_such_field": 1})
     for field, rate in (("dropout", -0.5), ("dropout", 1.5), ("pre_dropout_av", -0.2),
@@ -365,8 +325,8 @@ def test_full_model_finite_difference():
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_roundtrip_and_byte_determinism(tmp_path):
-    # the unscaled, shared-weight model catches a loader that drops the score scale
-    for cfg in (small_config(), small_config(scaled_attention=False, share_cross_weights=True)):
+    # the second layout catches a loader that rebuilds the default topology
+    for cfg in (small_config(), small_config(use_text=False, cross_layers=2)):
         model = MomentModel(cfg, seed=32)
         sample = make_sample(seed=33)
         before = model.forward(sample)
@@ -443,6 +403,28 @@ def test_checkpoint_save_of_a_load_reproduces_the_file(tmp_path):
     model, extra = load_checkpoint(first)
     save_checkpoint(model, second, extra=extra)
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_checkpoint_header_may_carry_retired_keys_at_their_value_only(tmp_path):
+    samples = [make_sample(seed=38), make_sample(n_clips=9, seed=39)]
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(MomentModel(small_config(), seed=37), good)
+    # the four switches an older writer put in every header, at the one value each still loads with
+    retired = {"scaled_attention": True, "positive_window": True, "fusion": "sum", "share_cross_weights": False}
+    raw = good.read_bytes()
+    for key, value in retired.items():
+        raw = _header_set("config", key, value=value)(raw)
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(raw)
+    for ckpt in (good, old):
+        predict(load_checkpoint(ckpt)[0], samples, ckpt.with_suffix(".jsonl"))
+    assert (tmp_path / "old.jsonl").read_bytes() == (tmp_path / "good.jsonl").read_bytes()
+
+    for key, value in (("scaled_attention", False), ("scaled_attention", 1), ("positive_window", False),
+                       ("fusion", "concat"), ("fusion", "mean"), ("share_cross_weights", True)):
+        old.write_bytes(_header_set("config", key, value=value)(good.read_bytes()))
+        with pytest.raises(ConfigError, match=re.escape(f"config.{key}")):
+            load_checkpoint(old)
 
 
 def test_checkpoint_load_holds_about_one_copy_of_the_file(tmp_path):
