@@ -206,15 +206,6 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def neg(a) -> Tensor:
-    a = _coerce(a)
-
-    def backward(g):
-        _accumulate(a, -g)
-
-    return _make(-a.data, (a,), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product of two 2-D operands."""
     a, b = _coerce(a), _coerce(b)

@@ -2,7 +2,8 @@
 
 Every command reads an optional keyed text configuration (`--config`): flat
 ``key = value`` lines, ``#`` comments, values parsed as JSON when they look
-like it. Dotted prefixes group settings by consumer::
+like it. A key's dotted prefix names its dataclass in ``SECTIONS``, and the
+rest must name one of its fields, whichever command reads the file::
 
     synth.n_videos = 16
     model.model_dim = 64
@@ -11,15 +12,16 @@ like it. Dotted prefixes group settings by consumer::
     eval.tasks = both
 
 Commands print a JSON summary to stdout and exit 0; failures print one
-machine-parsable JSON error line to stderr and exit nonzero.
+machine-parsable JSON error line to stderr and exit nonzero (2 for a usage
+error, 1 otherwise).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +47,20 @@ from .model import (
     ModelConfig,
     MomentModel,
     check_field_types,
-    fits,
     load_checkpoint,
 )
 from .train import TrainConfig, evaluate, predict, sample_loss, train
 
-SECTIONS = ("synth", "model", "train", "loss", "eval")
-EVAL_KEYS = ("eval.tasks", "eval.top_k")
+
+@dataclasses.dataclass
+class EvalConfig:
+    """Settings that ``eval`` and ``predict`` read."""
+
+    tasks: str = "both"
+    top_k: int = 10
+
+
+SECTIONS = {"synth": SynthConfig, "model": ModelConfig, "train": TrainConfig, "loss": LossWeights, "eval": EvalConfig}
 
 GRADCHECK_DEFAULTS = dict(
     model_dim=8, heads=2, uni_layers=1, cross_layers=1, decoder_layers=1,
@@ -86,32 +95,29 @@ def section(doc: dict[str, object], prefix: str) -> dict[str, object]:
     return {k[len(prefix) + 1:]: v for k, v in doc.items() if k.startswith(prefix + ".")}
 
 
-def _build(dc_cls, fields: dict[str, object], label: str):
-    unknown = sorted(set(fields) - {f.name for f in dataclass_fields(dc_cls)})
-    if unknown:
-        raise DataError(f"unknown {label} settings: {', '.join(unknown)}")
-    cfg = dc_cls(**fields)
-    check_field_types(cfg, label, DataError)
+def _build(prefix: str, fields: dict[str, object]):
+    cfg = SECTIONS[prefix](**fields)
+    check_field_types(cfg, prefix, DataError)
     return cfg
 
 
-def _top_k(doc: dict[str, object]) -> int:
-    top_k = doc.get("eval.top_k", 10)
-    if not fits(top_k, int) or top_k < 1:
-        raise DataError(f"eval.top_k must be a positive int, got {json.dumps(top_k)}")
-    return top_k
-
-
 def _load_config(args) -> dict[str, object]:
-    """The ``--config`` settings; a key outside the known sections, or an unknown ``eval`` key, is an error."""
+    """The ``--config`` settings; a key that names no field of its section is an error."""
     doc = parse_config_file(args.config) if args.config else {}
     for key in doc:
-        prefix, dot, _ = key.partition(".")
-        if not dot or prefix not in SECTIONS or (prefix == "eval" and key not in EVAL_KEYS):
+        prefix, _, name = key.partition(".")
+        if prefix not in SECTIONS or name not in {f.name for f in dataclasses.fields(SECTIONS[prefix])}:
             raise DataError(f"unknown config key {key!r}")
-    if doc.get("eval.tasks", "both") not in TASKS:
-        raise DataError(f"eval.tasks must be one of {TASKS}, got {json.dumps(doc['eval.tasks'])}")
     return doc
+
+
+def _eval_config(doc: dict[str, object]) -> EvalConfig:
+    cfg = _build("eval", section(doc, "eval"))
+    if cfg.tasks not in TASKS:
+        raise DataError(f"eval.tasks must be one of {TASKS}, got {json.dumps(cfg.tasks)}")
+    if cfg.top_k < 1:
+        raise DataError(f"eval.top_k must be a positive int, got {cfg.top_k}")
+    return cfg
 
 
 def _model_config(doc: dict[str, object], samples) -> ModelConfig:
@@ -124,17 +130,17 @@ def _model_config(doc: dict[str, object], samples) -> ModelConfig:
             fields.setdefault(f"use_{mod}", seq is not None)
             if seq is not None:
                 fields.setdefault(f"{mod}_dim", seq.dim)
-    return _build(ModelConfig, fields, "model")
+    return _build("model", fields)
 
 
 def _train_config(doc: dict[str, object], seed: int | None) -> TrainConfig:
     fields = section(doc, "train")
     loss_fields = section(doc, "loss")
     if loss_fields:
-        fields["weights"] = _build(LossWeights, loss_fields, "loss")
+        fields["weights"] = _build("loss", loss_fields)
     if seed is not None:
         fields["seed"] = seed
-    cfg = _build(TrainConfig, fields, "train")
+    cfg = _build("train", fields)
     cfg.validate()
     return cfg
 
@@ -148,7 +154,7 @@ def cmd_synth(args) -> int:
     fields = section(doc, "synth")
     if args.seed is not None:
         fields["seed"] = args.seed
-    cfg = _build(SynthConfig, fields, "synth")
+    cfg = _build("synth", fields)
     samples = synthesize_dataset(cfg)
     manifest = save_dataset(args.out, samples)
     print(json.dumps({"videos": len(samples), "manifest": str(manifest)}))
@@ -172,12 +178,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    doc = _load_config(args)
-    top_k = _top_k(doc)
+    cfg = _eval_config(_load_config(args))
     samples = load_dataset(args.data)
     model, _ = load_checkpoint(args.checkpoint)
-    tasks = args.tasks or doc.get("eval.tasks", "both")
-    report = evaluate(model, samples, tasks=tasks, top_k=top_k)
+    report = evaluate(model, samples, tasks=args.tasks or cfg.tasks, top_k=cfg.top_k)
     payload = report.as_dict()
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -186,11 +190,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    doc = _load_config(args)
-    top_k = _top_k(doc)
+    cfg = _eval_config(_load_config(args))
     samples = load_dataset(args.data)
     model, _ = load_checkpoint(args.checkpoint)
-    records = predict(model, samples, args.out, top_k=top_k)
+    records = predict(model, samples, args.out, top_k=cfg.top_k)
     print(json.dumps({"written": len(records), "path": str(args.out)}))
     return 0
 
@@ -198,7 +201,7 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     doc = _load_config(args)
     fields = {**GRADCHECK_DEFAULTS, **section(doc, "model")}
-    cfg = _build(ModelConfig, fields, "model")
+    cfg = _build("model", fields)
     seed = args.seed if args.seed is not None else 0
     model = MomentModel(cfg, seed=seed)
     rng = np.random.default_rng(seed)
@@ -252,16 +255,25 @@ def cmd_bench_attn(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
+class UsageParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one JSON line on stderr and exit status 2."""
+
+    def error(self, message: str):
+        print(json.dumps({"error": "UsageError", "message": f"{self.prog}: {message}"}), file=sys.stderr)
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = UsageParser(
         prog="momentkit",
         description="Joint moment retrieval and highlight detection over clip features.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_help, out_required=False):
+    def common(p, out_help, out_required=False, seed=True):
         p.add_argument("--config", help="keyed text configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override the configured seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the configured seed")
         p.add_argument("--out", required=out_required, help=out_help)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -277,13 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="path to manifest.json")
     p.add_argument("--checkpoint", required=True, help="checkpoint file to load")
     p.add_argument("--tasks", choices=TASKS, default=None)
-    common(p, "optional path for the JSON report")
+    common(p, "optional path for the JSON report", seed=False)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="write JSON-lines predictions for a dataset")
     p.add_argument("data", help="path to manifest.json")
     p.add_argument("--checkpoint", required=True, help="checkpoint file to load")
-    common(p, "output .jsonl path", out_required=True)
+    common(p, "output .jsonl path", out_required=True, seed=False)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of the full model")
@@ -294,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-attn", help="operation-count scaling report")
     p.add_argument("--lengths", default="64,128", help="comma-separated clip counts")
-    common(p, "optional path for the JSON report")
+    p.add_argument("--out", help="optional path for the JSON report")
     p.set_defaults(func=cmd_bench_attn)
     return parser
 

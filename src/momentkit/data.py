@@ -165,8 +165,11 @@ class VideoSample:
         return self.saliency >= self.positive_threshold
 
 
-def save_dataset(root: str | Path, samples: list[VideoSample], positive_threshold: float = 0.5) -> Path:
-    """Write a manifest plus one matrix file per modality; returns the manifest path."""
+def save_dataset(root: str | Path, samples: list[VideoSample]) -> Path:
+    """Write a manifest with the samples' one positive threshold, plus a matrix file per modality; returns its path."""
+    thresholds = {s.positive_threshold for s in samples} or {0.5}
+    if len(thresholds) > 1:
+        raise DataError(f"a manifest holds one positive_threshold, the samples carry {sorted(thresholds)}")
     root = Path(root)
     feat_dir = root / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
@@ -189,13 +192,20 @@ def save_dataset(root: str | Path, samples: list[VideoSample], positive_threshol
         records.append(rec)
     manifest = {
         "version": MANIFEST_VERSION,
-        "positive_threshold": positive_threshold,
+        "positive_threshold": thresholds.pop(),
         "coordinate_base": 0,
         "samples": records,
     }
     path = root / "manifest.json"
     path.write_text(json.dumps(manifest, indent=1))
     return path
+
+
+def _number(value: object, where: str) -> float:
+    """``value`` as a float when it is a JSON number; booleans and numeric strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{where} must be a number, got {json.dumps(value)}")
+    return float(value)
 
 
 def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
@@ -210,21 +220,22 @@ def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
         raise DataError(f"{manifest_path}: manifest must be a JSON object with a samples list")
     version = manifest.get("version")
-    if version != MANIFEST_VERSION:
-        raise DataError(f"{manifest_path}: unsupported manifest version {version!r}")
+    if isinstance(version, bool) or version != MANIFEST_VERSION:
+        raise DataError(f"{manifest_path}: unsupported manifest version {json.dumps(version)}")
     base = manifest.get("coordinate_base", 0)
     if isinstance(base, bool) or base not in (0, 1):
         raise DataError(f"{manifest_path}: coordinate_base must be 0 or 1, got {base!r}")
-    try:
-        threshold = float(manifest.get("positive_threshold", 0.5))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{manifest_path}: positive_threshold must be a number ({exc})") from exc
+    threshold = _number(manifest.get("positive_threshold", 0.5), f"{manifest_path}: positive_threshold")
+    if not np.isfinite(threshold):
+        raise DataError(f"{manifest_path}: positive_threshold must be finite, got {threshold}")
     root = manifest_path.parent
     samples = []
-    for rec in manifest["samples"]:
+    for index, rec in enumerate(manifest["samples"]):
         if not isinstance(rec, dict):
             raise DataError(f"{manifest_path}: sample records must be JSON objects, got {rec!r}")
-        vid = str(rec.get("id", "<missing id>"))
+        vid = rec.get("id")
+        if not isinstance(vid, str):
+            raise DataError(f"{manifest_path}: sample {index}: id must be a string, got {json.dumps(vid)}")
         seqs: dict[str, FeatureSequence | None] = {}
         for mod in MODALITIES:
             rel = rec.get(f"{mod}_path")
@@ -238,29 +249,32 @@ def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
             raise DataError(f"sample {vid}: moments must be a list, got {rec['moments']!r}")
         moments = []
         for m in rec.get("moments", []):
+            if not isinstance(m, dict):
+                raise DataError(f"sample {vid}: moment record {m!r} needs a numeric center and window")
+            center = _number(m.get("center"), f"sample {vid}: moment center")
+            window = _number(m.get("window"), f"sample {vid}: moment window")
             try:
-                moments.append(MomentAnnotation(float(m["center"]) - base, float(m["window"])))
+                moments.append(MomentAnnotation(center - base, window))
             except DataError as exc:
                 raise DataError(f"sample {vid}: {exc}") from exc
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"sample {vid}: moment record {m} needs a numeric center and window") from exc
-        try:
-            samples.append(
-                VideoSample(
-                    video_id=vid,
-                    clip_seconds=float(rec["clip_seconds"]),
-                    visual=seqs["visual"],
-                    audio=seqs["audio"],
-                    text=seqs["text"],
-                    moments=moments,
-                    saliency=np.asarray(rec["saliency"], dtype=np.float64) if "saliency" in rec else None,
-                    positive_threshold=threshold,
-                )
+        saliency = None
+        if "saliency" in rec:
+            try:
+                saliency = np.asarray(rec["saliency"], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"sample {vid}: saliency must be a list of numbers ({exc})") from exc
+        samples.append(
+            VideoSample(
+                video_id=vid,
+                clip_seconds=_number(rec.get("clip_seconds"), f"sample {vid}: clip_seconds"),
+                visual=seqs["visual"],
+                audio=seqs["audio"],
+                text=seqs["text"],
+                moments=moments,
+                saliency=saliency,
+                positive_threshold=threshold,
             )
-        except DataError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"sample {vid}: missing or malformed manifest field {exc}") from exc
+        )
     return samples
 
 

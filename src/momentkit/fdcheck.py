@@ -9,7 +9,7 @@ absolutely instead of amplifying float noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ class FDReport:
     max_rel_err: float = 0.0
     worst_param: str = ""
     worst_index: int = -1
-    failures: list[str] = field(default_factory=list)
 
     def ok(self, tolerance: float) -> bool:
         return self.checked > 0 and self.max_rel_err < tolerance
@@ -40,7 +39,6 @@ def check_gradients(
     params: Sequence[tuple[str, Tensor]],
     step: float = 1e-5,
     floor: float = 1e-4,
-    tolerance: float = 1e-4,
     max_coords_per_param: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> FDReport:
@@ -82,8 +80,4 @@ def check_gradients(
                 report.max_rel_err = err
                 report.worst_param = name
                 report.worst_index = int(i)
-            if err >= tolerance:
-                report.failures.append(
-                    f"{name}[{i}]: analytic={ga[i]:.6e} numeric={numeric:.6e} rel_err={err:.3e}"
-                )
     return report

@@ -4,7 +4,7 @@ Ground truth per video is a set of moments (continuous center p, window d in
 clip units) plus per-clip saliency in [0, 1]. Targets:
 
   * heatmap     — one gaussian bump per moment, centered at the quantized
-                  center p~ = round(p), width sigma = rho * (mu * d + 1);
+                  center p~ = round(p), width sigma = RHO * (MU * d + 1);
                   overlapping bumps merge by pointwise max, so the map is
                   exactly 1 at every p~
   * window      — the duration d, supervised only at p~
@@ -13,7 +13,7 @@ clip units) plus per-clip saliency in [0, 1]. Targets:
 
 Losses: binary cross-entropy on saliency (soft targets allowed), a focal
 objective on the heatmap that treats exact-1 coordinates as positives and
-down-weights negatives near peaks by (1 - H)^gamma, and L1 losses on window
+down-weights negatives near peaks by (1 - H)^GAMMA, and L1 losses on window
 and offset sampled at ground-truth centers only. The weighted total uses
 lambda = 3.0 / 1.0 / 0.1 / 1.0.
 
@@ -34,20 +34,20 @@ from .autograd import ShapeError, Tensor
 from .data import DataError, MomentAnnotation
 
 PROB_CLAMP = 1e-7
+ALPHA = 2.0  # focal exponent on the prediction
+GAMMA = 4.0  # focal exponent on (1 - target) for negatives
+MU = 0.2     # kernel radius per unit window
+RHO = 0.2    # sigma per unit radius
 
 
 @dataclass
 class LossWeights:
-    """Loss mixing weights and target-shape constants."""
+    """Loss mixing weights of the four tasks."""
 
     saliency: float = 3.0   # lambda_s
     center: float = 1.0     # lambda_c
     window: float = 0.1     # lambda_w
     offset: float = 1.0     # lambda_o
-    alpha: float = 2.0      # focal exponent on the prediction
-    gamma: float = 4.0      # focal exponent on (1 - target) for negatives
-    mu: float = 0.2         # kernel radius per unit window
-    rho: float = 0.2        # sigma per unit radius
 
 
 @dataclass
@@ -69,7 +69,6 @@ def build_targets(
     moments: list[MomentAnnotation],
     saliency: np.ndarray | None,
     n_clips: int,
-    params: LossWeights | None = None,
 ) -> TargetSet:
     """Rasterize moment annotations into per-clip training targets.
 
@@ -77,7 +76,6 @@ def build_targets(
     to the last valid index and its offset target saturates at +0.5 (sub-clip
     precision is given up only inside that half clip).
     """
-    params = params or LossWeights()
     heat = np.zeros(n_clips)
     centers: list[int] = []
     windows: list[float] = []
@@ -87,8 +85,8 @@ def build_targets(
         if not 0.0 <= m.center < n_clips:
             raise DataError(f"moment center {m.center} outside [0, {n_clips})")
         quant = int(min(np.floor(m.center + 0.5), n_clips - 1))
-        radius = params.mu * m.window
-        sigma = params.rho * (radius + 1.0)
+        radius = MU * m.window
+        sigma = RHO * (radius + 1.0)
         heat = np.maximum(heat, np.exp(-((coords - quant) ** 2) / (2.0 * sigma**2)))
         centers.append(quant)
         windows.append(m.window)
@@ -120,17 +118,16 @@ def saliency_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     p = _clamped(pred)
     t = Tensor(target)
     per_clip = ag.add(ag.mul(t, ag.log(p)), ag.mul(ag.sub(1.0, t), ag.log(ag.sub(1.0, p))))
-    return ag.neg(ag.mean(per_clip))
+    return ag.mul(ag.sum_(per_clip), -1.0 / per_clip.size)
 
 
-def focal_center_loss(pred: Tensor, target: np.ndarray, n_moments: int, params: LossWeights | None = None) -> Tensor:
+def focal_center_loss(pred: Tensor, target: np.ndarray, n_moments: int) -> Tensor:
     """Focal heatmap objective, normalized by the number of moments.
 
     Coordinates where the target is exactly 1 are positives; everywhere else
-    the penalty on the prediction is scaled by (1 - H)^gamma so clips right
+    the penalty on the prediction is scaled by (1 - H)^GAMMA so clips right
     next to a peak are barely punished.
     """
-    params = params or LossWeights()
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ShapeError(f"heatmap pred shape {pred.shape} != target shape {target.shape}")
@@ -138,12 +135,12 @@ def focal_center_loss(pred: Tensor, target: np.ndarray, n_moments: int, params: 
         warnings.warn("focal_center_loss on a sample with no moments; returning 0", stacklevel=2)
         return Tensor(0.0)
     pos_mask = (target == 1.0).astype(np.float64)
-    neg_weight = ((1.0 - target) ** params.gamma) * (1.0 - pos_mask)
+    neg_weight = ((1.0 - target) ** GAMMA) * (1.0 - pos_mask)
     p = _clamped(pred)
-    pos_terms = ag.mul(ag.power(ag.sub(1.0, p), params.alpha), ag.log(p))
-    neg_terms = ag.mul(ag.power(p, params.alpha), ag.log(ag.sub(1.0, p)))
+    pos_terms = ag.mul(ag.power(ag.sub(1.0, p), ALPHA), ag.log(p))
+    neg_terms = ag.mul(ag.power(p, ALPHA), ag.log(ag.sub(1.0, p)))
     total = ag.add(ag.mul(Tensor(pos_mask), pos_terms), ag.mul(Tensor(neg_weight), neg_terms))
-    return ag.neg(ag.mul(ag.sum_(total), 1.0 / n_moments))
+    return ag.mul(ag.sum_(total), -1.0 / n_moments)
 
 
 def regression_losses(pred_window: Tensor, pred_offset: Tensor, targets: TargetSet) -> tuple[Tensor, Tensor]:

@@ -130,7 +130,7 @@ def sample_loss(model: MomentModel, sample: VideoSample, targets, weights: LossW
     """
     preds = model.forward(sample, rng=rng)
     l_s = saliency_loss(preds.saliency, targets.saliency_targets)
-    l_c = focal_center_loss(preds.heatmap, targets.heatmap, targets.n_moments, weights)
+    l_c = focal_center_loss(preds.heatmap, targets.heatmap, targets.n_moments)
     l_w, l_o = regression_losses(preds.window, preds.offset, targets)
     return total_loss(l_s, l_c, l_w, l_o, weights), (l_s.item(), l_c.item(), l_w.item(), l_o.item())
 
@@ -142,7 +142,7 @@ def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
     if not samples:
         raise DataError("training needs at least one sample")
     weights = config.task_weights()
-    targets = [build_targets(s.moments, s.saliency, s.n_clips, weights) for s in samples]
+    targets = [build_targets(s.moments, s.saliency, s.n_clips) for s in samples]
     drop_rng = RngState(config.seed)
     order = np.random.default_rng(config.seed)
     opt = AdamW(model.named_parameters(), lr=config.learning_rate, weight_decay=config.weight_decay)

@@ -14,7 +14,7 @@ FLOOR = 1e-3  # below this magnitude, compare absolutely
 
 
 def fd_check(loss_fn, params, **kw):
-    report = check_gradients(loss_fn, params, step=STEP, floor=FLOOR, tolerance=TOL, **kw)
+    report = check_gradients(loss_fn, params, step=STEP, floor=FLOOR, **kw)
     assert report.ok(TOL), f"max rel err {report.max_rel_err:.3e} at {report.worst_param}[{report.worst_index}]"
     return report
 
@@ -225,7 +225,6 @@ def test_elementwise_op_gradients(seed):
         t = ag.add(t, ag.log(y))
         t = ag.add(t, ag.softplus(x))
         t = ag.add(t, ag.power(y, 2.0))
-        t = ag.sub(t, ag.neg(x))
         return ag.mean(ag.mul(t, w))
 
     fd_check(loss, [("x", x), ("y", y)])

@@ -1,11 +1,12 @@
 """End-to-end command-line workflow on a tiny synthetic corpus."""
 
+import argparse
 import json
 import struct
 
 import pytest
 
-from momentkit.cli import main, parse_config_file, section
+from momentkit.cli import build_parser, main, parse_config_file, section
 from momentkit.data import DataError, load_dataset
 from momentkit.decode import read_predictions
 from momentkit.model import (
@@ -107,6 +108,53 @@ def test_bench_attn_command(capsys):
     assert "bottleneck" in err  # human-readable table goes to stderr
 
 
+# every option string each command declares; a flag the command never reads does not belong here
+OPTIONS = {
+    "synth": ["--config", "--seed", "--out"],
+    "train": ["--config", "--seed", "--out"],
+    "eval": ["--checkpoint", "--tasks", "--config", "--out"],
+    "predict": ["--checkpoint", "--config", "--out"],
+    "gradcheck": ["--coords", "--tolerance", "--config", "--seed", "--out"],
+    "bench-attn": ["--lengths", "--out"],
+}
+
+
+def test_each_command_declares_the_options_it_reads():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: sorted(s for action in parser._actions for s in action.option_strings if s not in ("-h", "--help"))
+        for name, parser in commands.choices.items()
+    }
+    assert declared == {name: sorted(opts) for name, opts in OPTIONS.items()}
+
+
+USAGE_ERRORS = {
+    "missing data argument": ["train"],
+    "unknown flag": ["synth", "--out", "ds", "--turbo"],
+    "eval --seed": ["eval", "m.json", "--checkpoint", "c.ckpt", "--seed", "1"],
+    "predict --seed": ["predict", "m.json", "--checkpoint", "c.ckpt", "--out", "p.jsonl", "--seed", "1"],
+    "bench-attn --config": ["bench-attn", "--config", "run.cfg"],
+    "non-integer seed": ["synth", "--out", "ds", "--seed", "one"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_are_one_json_line_on_stderr(case, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(USAGE_ERRORS[case])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == "UsageError"
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: momentkit train")
+
+
 def test_errors_are_one_json_line_on_stderr(tmp_path, capsys):
     code, out, err = run(capsys, ["train", str(tmp_path / "missing.json")])
     assert code == 1 and out == ""
@@ -200,6 +248,16 @@ MALFORMED = {
     "null moments": (_rewrite_manifest, _set("samples", 0, "moments", value=None), DataError),
     "numeric moments": (_rewrite_manifest, _set("samples", 0, "moments", value=5), DataError),
     "numeric visual_path": (_rewrite_manifest, _set("samples", 0, "visual_path", value=5), DataError),
+    "boolean manifest version": (_rewrite_manifest, _set("version", value=True), DataError),
+    "list sample id": (_rewrite_manifest, _set("samples", 0, "id", value=["a"]), DataError),
+    "null sample id": (_rewrite_manifest, _set("samples", 0, "id", value=None), DataError),
+    "boolean positive_threshold": (_rewrite_manifest, _set("positive_threshold", value=True), DataError),
+    "boolean clip_seconds": (_rewrite_manifest, _set("samples", 0, "clip_seconds", value=True), DataError),
+    "boolean moment center": (_rewrite_manifest, _set("samples", 0, "moments", 0, "center", value=True), DataError),
+    "NaN positive_threshold": (_rewrite_manifest, _set("positive_threshold", value=float("nan")), DataError),
+    "numeric-string clip_seconds": (_rewrite_manifest, _set("samples", 0, "clip_seconds", value="1.0"), DataError),
+    "numeric-string moment window": (
+        _rewrite_manifest, _set("samples", 0, "moments", 0, "window", value="3.5"), DataError),
 }
 
 
@@ -225,6 +283,9 @@ BAD_CONFIG_LINES = {
     "eval.topk = 1": ("predict", DataError),
     "eval.tasks = 5": ("eval", DataError),
     "model.fusion = sum": ("train", DataError),
+    "loss.alpha = 2.0": ("train", DataError),
+    "model.hedas = 4": ("predict", DataError),
+    "synth.n_vidoes = 3": ("train", DataError),
 }
 
 

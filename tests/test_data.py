@@ -40,7 +40,7 @@ def test_matrix_rejects_non_2d():
         dio.write_matrix("unused", np.zeros(5, dtype=np.float32))
 
 
-def make_sample(vid="v0", n_clips=10, with_text=True):
+def make_sample(vid="v0", n_clips=10, with_text=True, positive_threshold=0.5):
     rng = np.random.default_rng(abs(hash(vid)) % 2**32)
     return dio.VideoSample(
         video_id=vid,
@@ -50,12 +50,13 @@ def make_sample(vid="v0", n_clips=10, with_text=True):
         text=dio.FeatureSequence(rng.normal(size=(3, 5)), "text") if with_text else None,
         moments=[dio.MomentAnnotation(2.5, 3.0), dio.MomentAnnotation(7.0, 2.0)],
         saliency=np.linspace(0.0, 1.0, n_clips),
+        positive_threshold=positive_threshold,
     )
 
 
 def test_dataset_roundtrip(tmp_path):
-    samples = [make_sample("v0"), make_sample("v1", with_text=False)]
-    manifest = dio.save_dataset(tmp_path, samples, positive_threshold=0.4)
+    samples = [make_sample("v0", positive_threshold=0.4), make_sample("v1", with_text=False, positive_threshold=0.4)]
+    manifest = dio.save_dataset(tmp_path, samples)
     back = dio.load_dataset(manifest)
     assert len(back) == 2
     for orig, got in zip(samples, back):
@@ -72,6 +73,15 @@ def test_dataset_roundtrip(tmp_path):
             (m.center, m.window) for m in orig.moments
         ]
         np.testing.assert_array_equal(got.saliency, orig.saliency)
+
+
+def test_saved_manifests_keep_the_threshold_they_were_loaded_at(tmp_path):
+    manifest = dio.save_dataset(tmp_path / "a", [make_sample("v0", positive_threshold=0.7)])
+    loaded = dio.load_dataset(manifest)
+    again = dio.load_dataset(dio.save_dataset(tmp_path / "b", loaded))
+    assert [s.positive_threshold for s in again] == [0.7]
+    with pytest.raises(dio.DataError, match="positive_threshold"):
+        dio.save_dataset(tmp_path / "c", [make_sample("v0"), make_sample("v1", positive_threshold=0.7)])
 
 
 def test_one_based_manifests_shift_centers_once(tmp_path):
