@@ -3,7 +3,10 @@
 Every differentiable value in the library is a :class:`Tensor` wrapping a
 C-contiguous float64 numpy array. Operations build a tape (each output
 remembers its parents and a closure that pushes gradients to them);
-``backward`` walks the tape once in reverse topological order.
+``backward`` walks the tape once in reverse topological order and consumes
+it: each node drops its closure and parent links as soon as it has run, so an
+intermediate array is freed once the last node that reads it is done, and a
+second backward through any node of a consumed graph is an error.
 
 Design constraints:
   * first-order gradients only, single-threaded per graph
@@ -11,6 +14,11 @@ Design constraints:
   * ``attend`` is multi-head attention as one tape node: it computes the heads
     one at a time, each head's (Nq, Nk) scores built, softmaxed and mixed in
     one buffer, and shares its softmax kernels with ``softmax``
+  * fused nodes are bitwise equal to the ops they replace: ``linear`` is
+    ``add(matmul(x, w), b)`` and ``residual_dropout`` is
+    ``add(x, dropout(a))``
+  * dropout keeps a boolean keep-mask (1 byte per element) and applies it as
+    ``(a * keep) * (1 / (1 - rate))``, bitwise ``a`` times the float mask
   * all randomness flows through an explicit :class:`RngState`
   * gradients are never changed in place: a tensor's first gradient is kept
     as given and may be shared with other tensors, later ones add out of place
@@ -206,22 +214,47 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product of two 2-D operands."""
-    a, b = _coerce(a), _coerce(b)
+def _product(a: Tensor, b: Tensor) -> np.ndarray:
+    """``a.data @ b.data`` for 2-D operands, tallied in the MAC counter."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     global _mac_count
     _mac_count += a.size * b.shape[1]
-    data = a.data @ b.data
+    return a.data @ b.data
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Product of two 2-D operands."""
+    a, b = _coerce(a), _coerce(b)
+    data = _product(a, b)
 
     def backward(g):
         _accumulate(a, g @ b.data.T)
         _accumulate(b, a.data.T @ g)
 
     return _make(data, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node, the bias added into the product in place.
+
+    Bitwise equal to ``add(matmul(x, w), b)`` in value and gradients, with the
+    same MAC count.
+    """
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if b.shape != w.shape[1:]:
+        raise ShapeError(f"linear bias shape {b.shape} does not match weight shape {w.shape}")
+    data = _product(x, w)
+    data += b.data
+
+    def backward(g):
+        _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+        _accumulate(b, _unbroadcast(g, b.shape))
+
+    return _make(data, (x, w, b), backward)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -485,24 +518,63 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make(data, (a, gain, bias), backward)
 
 
+def _keep_mask(shape, rate: float, rng: RngState | None) -> np.ndarray | None:
+    """One boolean keep-mask drawn from ``rng``, or ``None`` when dropout does not run.
+
+    The rate is checked either way; no stream or a zero rate draws nothing.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
+    if rng is None or rate == 0.0:
+        return None
+    return rng.random(shape) >= rate
+
+
+def _masked(x: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
+    """``(x * keep) * (1 / (1 - rate))``: bitwise ``x * mask`` for the float mask ``keep / (1 - rate)``."""
+    out = x * keep
+    out *= 1.0 / (1.0 - rate)
+    return out
+
+
 def dropout(a: Tensor, rate: float, rng: RngState | None) -> Tensor:
     """Zero elements with probability ``rate`` and rescale survivors.
 
     Dropout runs exactly when a stream is passed: with ``rng=None`` (or a zero
     rate) it returns ``a`` itself and draws nothing; otherwise it draws one
-    mask from ``rng``. The rate is checked either way.
+    mask from ``rng`` and keeps it as booleans. The rate is checked either way.
     """
     a = _coerce(a)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if rng is None or rate == 0.0:
+    keep = _keep_mask(a.shape, rate, rng)
+    if keep is None:
         return a
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
 
     def backward(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, _masked(g, keep, rate))
 
-    return _make(a.data * mask, (a,), backward)
+    return _make(_masked(a.data, keep, rate), (a,), backward)
+
+
+def residual_dropout(residual: Tensor, a: Tensor, rate: float, rng: RngState | None) -> Tensor:
+    """``add(residual, dropout(a, rate, rng))`` as one node: a block's residual connection.
+
+    Draws the same mask as ``dropout`` and is bitwise equal to the two-node
+    form in value and gradients; without a stream it is ``add(residual, a)``.
+    """
+    residual, a = _coerce(residual), _coerce(a)
+    if residual.shape != a.shape:
+        raise ShapeError(f"residual_dropout needs equal shapes, got {residual.shape} and {a.shape}")
+    keep = _keep_mask(a.shape, rate, rng)
+    if keep is None:
+        return add(residual, a)
+    data = _masked(a.data, keep, rate)
+    data += residual.data
+
+    def backward(g):
+        _accumulate(residual, g)
+        _accumulate(a, _masked(g, keep, rate))
+
+    return _make(data, (residual, a), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +593,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node._backward_done:
+            raise RuntimeError("backward already ran through part of this graph; rebuild it before calling again")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -533,21 +607,30 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Populate gradients for every requires_grad leaf under a scalar loss.
 
     Returns a map from leaf tensors (graph inputs with requires_grad) to their
-    gradients; interior nodes release theirs once pushed to their parents.
-    Running backward twice on the same loss is an error; build a fresh graph
-    instead.
+    gradients. Backward consumes the graph as it runs: once a node has pushed
+    its gradient to its parents, it drops that gradient, its closure and its
+    parent links, so each intermediate array is released when the last node
+    that reads it has run, even while the caller still holds the loss.
+    Running backward again through any node of a consumed graph is an error;
+    build a fresh graph instead.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss._backward_done:
         raise RuntimeError("backward was already run on this loss; rebuild the graph before calling again")
+    order = _topo_order(loss) if loss.requires_grad else []
     loss._backward_done = True
-    if not loss.requires_grad:
+    if not order:
         return {}
+    leaves = [t for t in order if t._backward_fn is None]
     loss.grad = np.ones_like(loss.data)
-    order = _topo_order(loss)
-    for node in reversed(order):
-        if node._backward_fn is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward_fn is None:
+            continue
+        if node.grad is not None:
             node._backward_fn(node.grad)
-            node.grad = None
-    return {t: t.grad for t in order if t.requires_grad and not t._parents and t.grad is not None}
+        node.grad = node._backward_fn = None
+        node._parents = ()
+        node._backward_done = True
+    return {t: t.grad for t in leaves if t.grad is not None}

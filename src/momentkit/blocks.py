@@ -66,7 +66,7 @@ class Linear(Module):
         self.bias = _uniform_init(rng, in_dim, (out_dim,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ag.add(ag.matmul(x, self.weight), self.bias)
+        return ag.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -140,7 +140,7 @@ def attention(
 
     q, k, v = ag.matmul(q_in, params.w_q), ag.matmul(k_in, params.w_k), ag.matmul(kv_in, params.w_v)
     out = ag.matmul(ag.attend(q, k, v, params.n_heads, params.scale), params.w_z)
-    return ag.add(residual, ag.dropout(out, params.drop_rate, rng))
+    return ag.residual_dropout(residual, out, params.drop_rate, rng)
 
 
 def self_attention(
@@ -202,5 +202,4 @@ class FeedForward(Module):
     def __call__(self, x: Tensor, norm: LayerNorm | None = None, rng: RngState | None = None) -> Tensor:
         h = norm(x) if norm is not None else x
         h = ag.dropout(ag.relu(self.lin1(h)), self.drop_rate, rng)
-        h = ag.dropout(self.lin2(h), self.drop_rate, rng)
-        return ag.add(x, h)
+        return ag.residual_dropout(x, self.lin2(h), self.drop_rate, rng)

@@ -202,10 +202,29 @@ def save_dataset(root: str | Path, samples: list[VideoSample]) -> Path:
 
 
 def _number(value: object, where: str) -> float:
-    """``value`` as a float when it is a JSON number; booleans and numeric strings are not numbers."""
+    """``value`` as a float when it is a JSON number; booleans, numeric strings and ints beyond float range are not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DataError(f"{where} must be a number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise DataError(f"{where} must be a number within float range, got {len(str(value))} digits") from exc
+
+
+def _numbers(values: object, where: str) -> np.ndarray:
+    """``values`` as a float64 array when it is a JSON list of numbers, each value typed as ``_number`` types it.
+
+    A list of plain ints and floats converts in one call; anything else goes
+    value by value, so the error names the first value that is not a number.
+    """
+    if not isinstance(values, list):
+        raise DataError(f"{where} must be a list of numbers, got {json.dumps(values)}")
+    if {type(v) for v in values} <= {int, float}:
+        try:
+            return np.array(values, dtype=np.float64)
+        except OverflowError:
+            pass
+    return np.array([_number(v, where) for v in values], dtype=np.float64)
 
 
 def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
@@ -257,12 +276,7 @@ def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
                 moments.append(MomentAnnotation(center - base, window))
             except DataError as exc:
                 raise DataError(f"sample {vid}: {exc}") from exc
-        saliency = None
-        if "saliency" in rec:
-            try:
-                saliency = np.asarray(rec["saliency"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"sample {vid}: saliency must be a list of numbers ({exc})") from exc
+        saliency = _numbers(rec["saliency"], f"sample {vid}: saliency") if "saliency" in rec else None
         samples.append(
             VideoSample(
                 video_id=vid,

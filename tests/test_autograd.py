@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,69 @@ def test_dropout_rejects_bad_rate():
         ag.dropout(ag.Tensor(np.ones(3)), -0.1, rng)
 
 
+@pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+def test_dropout_matches_the_float_mask_reference(rate):
+    """The boolean keep-mask times 1/(1-rate) equals ``a * ((r >= rate) / (1 - rate))`` bit for bit."""
+    rng = np.random.default_rng(31)
+    base, upstream = rng.normal(size=(6, 7)), rng.normal(size=(6, 7))
+    x = ag.Tensor(base, requires_grad=True)
+    stream = ag.RngState(5)
+    out = ag.dropout(x, rate, stream)
+    ag.backward(ag.sum_(ag.mul(out, upstream)))
+    mask = (ag.RngState(5).random(base.shape) >= rate) / (1.0 - rate)
+    assert out.data.tobytes() == (base * mask).tobytes()  # signed zeros included
+    assert x.grad.tobytes() == (upstream * mask).tobytes()
+    assert stream.position == 1
+
+
+def _leaf_run(build, arrays, seed):
+    """Forward and leaf-gradient bytes, stream position and MACs of ``build`` on fresh leaves."""
+    leaves = [ag.Tensor(a, requires_grad=True) for a in arrays]
+    stream = ag.RngState(seed) if seed is not None else None
+    ag.reset_mac_count()
+    out = build(*leaves, stream)
+    macs = ag.mac_count()
+    upstream = np.random.default_rng(32).normal(size=out.shape)
+    ag.backward(ag.sum_(ag.mul(out, upstream)))
+    return (out.data.tobytes(), [t.grad.tobytes() for t in leaves],
+            stream.position if stream is not None else None, macs)
+
+
+def test_linear_is_bitwise_the_sum_of_matmul_and_bias():
+    rng = np.random.default_rng(33)
+    arrays = [rng.normal(size=(9, 5)), rng.normal(size=(5, 4)), rng.normal(size=(4,)), rng.normal(size=(9, 5))]
+
+    # the input is interior, so its gradient passes through the node
+    def fused(x0, w, b, shift, _):
+        return ag.linear(ag.add(x0, shift), w, b)
+
+    def reference(x0, w, b, shift, _):
+        return ag.add(ag.matmul(ag.add(x0, shift), w), b)
+
+    assert _leaf_run(fused, arrays, None) == _leaf_run(reference, arrays, None)
+    with pytest.raises(ag.ShapeError):
+        ag.linear(ag.Tensor(arrays[0]), ag.Tensor(arrays[1]), ag.Tensor(np.zeros(5)))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("seed", [None, 7])
+def test_residual_dropout_is_bitwise_add_of_dropout(rate, seed):
+    rng = np.random.default_rng(34)
+    arrays = [rng.normal(size=(8, 6)), rng.normal(size=(6, 6)), rng.normal(size=(8, 6))]
+
+    def fused(h, w, res, stream):
+        return ag.residual_dropout(res, ag.matmul(h, w), rate, stream)
+
+    def reference(h, w, res, stream):
+        return ag.add(res, ag.dropout(ag.matmul(h, w), rate, stream))
+
+    got, want = _leaf_run(fused, arrays, seed), _leaf_run(reference, arrays, seed)
+    assert got == want
+    assert got[2] == (None if seed is None else int(rate > 0.0))
+    with pytest.raises(ValueError, match="rate"):
+        ag.residual_dropout(ag.Tensor(arrays[2]), ag.Tensor(arrays[2]), 1.0, None)
+
+
 def test_dropout_gradients_with_reseeded_stream():
     base = np.random.default_rng(9).normal(size=(4, 5))
     x = ag.Tensor(base, requires_grad=True)
@@ -331,6 +396,38 @@ def test_backward_releases_interior_gradients():
     assert hidden.grad is None and loss.grad is None
     np.testing.assert_array_equal(x.grad, 2.0 * x.data + 1.0)
     assert leaves[x] is x.grad
+
+
+def test_backward_through_a_consumed_subgraph_is_an_error():
+    x = ag.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    shared = ag.mul(x, x)
+    first = ag.sum_(shared)
+    second = ag.sum_(ag.add(shared, x))
+    ag.backward(first)
+    with pytest.raises(RuntimeError):
+        ag.backward(second)
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data)  # the refused call changed nothing
+
+
+def test_backward_frees_interior_arrays_while_the_loss_is_held():
+    x = ag.Tensor(np.random.default_rng(35).normal(size=(128, 128)), requires_grad=True)
+    nbytes = x.data.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        h = x
+        for _ in range(8):
+            h = ag.mul(ag.relu(h), 1.5)
+        loss = ag.sum_(h)
+        del h
+        built = tracemalloc.get_traced_memory()[0] - base
+        ag.backward(loss)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert built >= 16 * nbytes
+    assert kept < 2 * nbytes, f"{kept} bytes still held after backward; x.grad is {nbytes}"
+    assert x.grad.shape == x.shape
 
 
 def test_gradients_accumulate_across_reuse():

@@ -258,6 +258,10 @@ MALFORMED = {
     "numeric-string clip_seconds": (_rewrite_manifest, _set("samples", 0, "clip_seconds", value="1.0"), DataError),
     "numeric-string moment window": (
         _rewrite_manifest, _set("samples", 0, "moments", 0, "window", value="3.5"), DataError),
+    "boolean saliency": (_rewrite_manifest, _set("samples", 0, "saliency", 1, value=True), DataError),
+    "numeric-string saliency": (_rewrite_manifest, _set("samples", 0, "saliency", 0, value="0.5"), DataError),
+    "oversized-integer clip_seconds": (_rewrite_manifest, _set("samples", 0, "clip_seconds", value=10**400), DataError),
+    "oversized-integer saliency": (_rewrite_manifest, _set("samples", 0, "saliency", 0, value=10**400), DataError),
 }
 
 

@@ -13,7 +13,7 @@ from momentkit import blocks
 from momentkit.autograd import RngState, Tensor
 from momentkit.data import FeatureSequence, MomentAnnotation, VideoSample
 from momentkit.fdcheck import check_gradients
-from momentkit.losses import build_targets, regression_losses, saliency_loss, total_loss, focal_center_loss
+from momentkit.losses import LossWeights, build_targets, regression_losses, saliency_loss, total_loss, focal_center_loss
 from momentkit.model import (
     CheckpointError,
     ConfigError,
@@ -22,7 +22,7 @@ from momentkit.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from momentkit.train import predict
+from momentkit.train import predict, sample_loss
 
 SMALL = dict(
     model_dim=8, heads=2, uni_layers=1, cross_layers=1, decoder_layers=1,
@@ -99,6 +99,20 @@ def test_dropout_draws_follow_the_stream():
     eval_out = model.forward(sample)
     for field in ("saliency", "heatmap", "window", "offset"):
         assert np.array_equal(getattr(eval_out, field).data, getattr(zero_rate, field).data)
+
+
+def test_training_forward_tape_node_count():
+    """The tape of one training forward and its loss, as backward walks it.
+
+    Each of the 17 ``Linear`` calls is one node, and each of the 14 residual
+    connections is one node with the dropout before it (323 nodes before they
+    were fused).
+    """
+    model = MomentModel(small_config(), seed=4)
+    sample = make_sample(seed=5)
+    targets = build_targets(sample.moments, sample.saliency, sample.n_clips)
+    loss, _ = sample_loss(model, sample, targets, LossWeights(), RngState(11))
+    assert len(ag._topo_order(loss)) == 292
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Training loop, optimizer, evaluation, and prediction plumbing."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -109,6 +110,18 @@ def test_same_seed_gives_identical_runs(tmp_path):
     assert (tmp_path / "a" / "final.ckpt").read_bytes() == (tmp_path / "b" / "final.ckpt").read_bytes()
     r3 = train(make_model(), samples, TrainConfig(epochs=3, batch_size=2, seed=8))
     assert r3.loss_history != r1.loss_history
+
+
+# sha256 of the checkpoint that test_checkpoint_bytes_are_pinned trains; a change
+# that moves checkpoint bytes updates it and records the move in CHANGES.md
+PINNED_CHECKPOINT_SHA256 = "d926c9559271079e7c0d1f3772ca76cd8b399f5da90d95014e40531777f89cee"
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    """Two epochs with dropout and batches of two: the final checkpoint's bytes do not move."""
+    model = make_model(seed=3)
+    train(model, tiny_dataset(n=4, seed=2), TrainConfig(epochs=2, batch_size=2, seed=1), tmp_path)
+    assert hashlib.sha256((tmp_path / "final.ckpt").read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
 
 
 def test_loss_decreases_on_tiny_overfit():
