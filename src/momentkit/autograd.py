@@ -612,14 +612,16 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     parent links, so each intermediate array is released when the last node
     that reads it has run, even while the caller still holds the loss.
     Running backward again through any node of a consumed graph is an error;
-    build a fresh graph instead.
+    build a fresh graph instead. A leaf passed as the loss has no closure to
+    consume and stays usable.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss._backward_done:
         raise RuntimeError("backward was already run on this loss; rebuild the graph before calling again")
     order = _topo_order(loss) if loss.requires_grad else []
-    loss._backward_done = True
+    if loss._backward_fn is not None or not loss.requires_grad:
+        loss._backward_done = True
     if not order:
         return {}
     leaves = [t for t in order if t._backward_fn is None]

@@ -409,6 +409,13 @@ def test_backward_through_a_consumed_subgraph_is_an_error():
     np.testing.assert_array_equal(x.grad, 2.0 * x.data)  # the refused call changed nothing
 
 
+def test_backward_on_a_leaf_leaves_it_usable():
+    x = ag.Tensor(np.array([2.0]), requires_grad=True)
+    assert set(ag.backward(x)) == {x}
+    leaves = ag.backward(ag.sum_(ag.mul(x, x)))
+    np.testing.assert_array_equal(leaves[x], np.array([5.0]))  # 1 from the first call, 2x from the second
+
+
 def test_backward_frees_interior_arrays_while_the_loss_is_held():
     x = ag.Tensor(np.random.default_rng(35).normal(size=(128, 128)), requires_grad=True)
     nbytes = x.data.nbytes
