@@ -13,7 +13,7 @@ Design constraints:
   * ``matmul`` multiplies 2-D operands only; ``sum_`` sums every element
   * ``attend`` is multi-head attention as one tape node: it computes the heads
     one at a time, each head's (Nq, Nk) scores built, softmaxed and mixed in
-    one buffer, and shares its softmax kernels with ``softmax``
+    one buffer
   * fused nodes are bitwise equal to the ops they replace: ``linear`` is
     ``add(matmul(x, w), b)`` and ``residual_dropout`` is
     ``add(x, dropout(a))``
@@ -192,17 +192,6 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    data = a.data - b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(data, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     data = a.data * b.data
@@ -267,18 +256,13 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def sum_(a: Tensor) -> Tensor:
-    """Sum of every element, as a 0-D tensor."""
+    """Sum of every element, as a one-element tensor of shape (1,)."""
     a = _coerce(a)
 
     def backward(g):
         _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _make(a.data.sum(), (a,), backward)
-
-
-def mean(a: Tensor) -> Tensor:
-    a = _coerce(a)
-    return mul(sum_(a), 1.0 / a.data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -323,50 +307,6 @@ def softplus(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def log(a: Tensor) -> Tensor:
-    a = _coerce(a)
-    if np.any(a.data <= 0.0):
-        raise NumericError("log requires strictly positive input")
-
-    def backward(g):
-        _accumulate(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), backward)
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    """Elementwise a**p for a constant exponent."""
-    a = _coerce(a)
-    p = float(p)
-    data = a.data ** p
-
-    def backward(g):
-        _accumulate(a, g * p * a.data ** (p - 1.0))
-
-    return _make(data, (a,), backward)
-
-
-def absolute(a: Tensor) -> Tensor:
-    a = _coerce(a)
-
-    def backward(g):
-        _accumulate(a, g * np.sign(a.data))
-
-    return _make(np.abs(a.data), (a,), backward)
-
-
-def clip(a: Tensor, low: float, high: float) -> Tensor:
-    """Clamp values into [low, high]; gradient is zero where clamping bound."""
-    a = _coerce(a)
-    data = np.clip(a.data, low, high)
-
-    def backward(g):
-        mask = (a.data >= low) & (a.data <= high)
-        _accumulate(a, g * mask)
-
-    return _make(data, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # indexing
 # ---------------------------------------------------------------------------
@@ -379,20 +319,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[start:stop] = g
-        _accumulate(a, full)
-
-    return _make(data, (a,), backward)
-
-
-def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows (or elements of a 1-D tensor) by integer index, with repeats allowed."""
-    a = _coerce(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    data = a.data[idx].copy()
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
         _accumulate(a, full)
 
     return _make(data, (a,), backward)
@@ -422,18 +348,6 @@ def _softmax_grad(g: np.ndarray, data: np.ndarray, axis: int, scale: float) -> n
     dx *= data
     dx *= scale
     return dx
-
-
-def softmax(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
-    """Numerically stabilized softmax of ``scale * a``, built in one buffer; rejects non-finite input."""
-    a = _coerce(a)
-    data = a.data * scale
-    _softmax_(data, axis)
-
-    def backward(g):
-        _accumulate(a, _softmax_grad(g, data, axis, scale))
-
-    return _make(data, (a,), backward)
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tensor:

@@ -19,7 +19,14 @@ lambda = 3.0 / 1.0 / 0.1 / 1.0.
 
 Predictions enter as probability-valued tensors; they are clamped to
 [1e-7, 1 - 1e-7] before any log, so a "perfect" 0/1 prediction yields a loss
-on the order of 1e-7 rather than an infinity.
+on the order of 1e-7 rather than an infinity; a prediction outside the clamp
+gets zero gradient.
+
+Each loss, and the weighted total, is one tape node with a closed-form
+backward. Forward and backward run the same float expressions, in the same
+order, as the chain of elementwise ops the formula spells out (clamp, log,
+power, absolute value, row gather, sum, scale), so values and gradients are
+bitwise those of that chain.
 """
 
 from __future__ import annotations
@@ -106,8 +113,14 @@ def build_targets(
     )
 
 
-def _clamped(pred: Tensor) -> Tensor:
-    return ag.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
+def _clamped(pred: Tensor) -> np.ndarray:
+    return np.clip(pred.data, PROB_CLAMP, 1.0 - PROB_CLAMP)
+
+
+def _through_clamp(pred: Tensor, grad: np.ndarray) -> None:
+    """Pass ``grad`` to ``pred`` where the clamp let the prediction through, zero elsewhere."""
+    x = pred.data
+    ag._accumulate(pred, grad * ((x >= PROB_CLAMP) & (x <= 1.0 - PROB_CLAMP)))
 
 
 def saliency_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -116,9 +129,14 @@ def saliency_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     if pred.shape != target.shape:
         raise ShapeError(f"saliency pred shape {pred.shape} != target shape {target.shape}")
     p = _clamped(pred)
-    t = Tensor(target)
-    per_clip = ag.add(ag.mul(t, ag.log(p)), ag.mul(ag.sub(1.0, t), ag.log(ag.sub(1.0, p))))
-    return ag.mul(ag.sum_(per_clip), -1.0 / per_clip.size)
+    scale = -1.0 / p.size
+    per_clip = target * np.log(p) + (1.0 - target) * np.log(1.0 - p)
+
+    def backward(g):
+        g = g * scale
+        _through_clamp(pred, (g * target) / p - (g * (1.0 - target)) / (1.0 - p))
+
+    return ag._make(per_clip.sum() * scale, (pred,), backward)
 
 
 def focal_center_loss(pred: Tensor, target: np.ndarray, n_moments: int) -> Tensor:
@@ -137,10 +155,34 @@ def focal_center_loss(pred: Tensor, target: np.ndarray, n_moments: int) -> Tenso
     pos_mask = (target == 1.0).astype(np.float64)
     neg_weight = ((1.0 - target) ** GAMMA) * (1.0 - pos_mask)
     p = _clamped(pred)
-    pos_terms = ag.mul(ag.power(ag.sub(1.0, p), ALPHA), ag.log(p))
-    neg_terms = ag.mul(ag.power(p, ALPHA), ag.log(ag.sub(1.0, p)))
-    total = ag.add(ag.mul(Tensor(pos_mask), pos_terms), ag.mul(Tensor(neg_weight), neg_terms))
-    return ag.mul(ag.sum_(total), -1.0 / n_moments)
+    q = 1.0 - p
+    log_p, log_q = np.log(p), np.log(q)
+    q_alpha, p_alpha = q**ALPHA, p**ALPHA
+    scale = -1.0 / n_moments
+    per_clip = pos_mask * (q_alpha * log_p) + neg_weight * (p_alpha * log_q)
+
+    def backward(g):
+        g = g * scale
+        g_pos, g_neg = g * pos_mask, g * neg_weight
+        # positives and negatives never share a coordinate: at most two of the four terms are
+        # nonzero at each, so the order they are summed in cannot change a bit
+        _through_clamp(pred, (g_pos * q_alpha) / p - g_pos * log_p * ALPHA * q ** (ALPHA - 1.0)
+                       + g_neg * log_q * ALPHA * p ** (ALPHA - 1.0) - (g_neg * p_alpha) / q)
+
+    return ag._make(per_clip.sum() * scale, (pred,), backward)
+
+
+def _mean_abs_error_at(pred: Tensor, idx: np.ndarray, target: np.ndarray) -> Tensor:
+    """Mean |pred[idx] - target|; an index listed twice gets both gradients."""
+    err = pred.data[idx] - target
+    scale = 1.0 / err.size
+
+    def backward(g):
+        full = np.zeros_like(pred.data)
+        np.add.at(full, idx, (g * scale) * np.sign(err))
+        ag._accumulate(pred, full)
+
+    return ag._make(np.abs(err).sum() * scale, (pred,), backward)
 
 
 def regression_losses(pred_window: Tensor, pred_offset: Tensor, targets: TargetSet) -> tuple[Tensor, Tensor]:
@@ -148,14 +190,18 @@ def regression_losses(pred_window: Tensor, pred_offset: Tensor, targets: TargetS
     if targets.n_moments == 0:
         return Tensor(0.0), Tensor(0.0)
     idx = targets.center_indices
-    w_err = ag.sub(ag.gather_rows(pred_window, idx), Tensor(targets.window_targets))
-    o_err = ag.sub(ag.gather_rows(pred_offset, idx), Tensor(targets.offset_targets))
-    return ag.mean(ag.absolute(w_err)), ag.mean(ag.absolute(o_err))
+    return (_mean_abs_error_at(pred_window, idx, targets.window_targets),
+            _mean_abs_error_at(pred_offset, idx, targets.offset_targets))
 
 
 def total_loss(l_s: Tensor, l_c: Tensor, l_w: Tensor, l_o: Tensor, weights: LossWeights | None = None) -> Tensor:
     weights = weights or LossWeights()
-    return ag.add(
-        ag.add(ag.mul(l_s, weights.saliency), ag.mul(l_c, weights.center)),
-        ag.add(ag.mul(l_w, weights.window), ag.mul(l_o, weights.offset)),
-    )
+    terms = (l_s, l_c, l_w, l_o)
+    scales = (weights.saliency, weights.center, weights.window, weights.offset)
+    data = (l_s.data * scales[0] + l_c.data * scales[1]) + (l_w.data * scales[2] + l_o.data * scales[3])
+
+    def backward(g):
+        for term, s in zip(terms, scales):
+            ag._accumulate(term, g * s)
+
+    return ag._make(data, terms, backward)

@@ -93,6 +93,8 @@ def check_field_types(cfg, label: str, error: type[Exception]) -> None:
             raise error(f"{label}.{f.name} must be {getattr(hint, '__name__', hint)}, got {json.dumps(value)}")
 
 
+_MAX_SIZE = int(np.iinfo(np.intp).max)  # the largest numpy array dimension
+
 # retired topology switches that version-1 headers still carry, each with the one value that loads
 _RETIRED = {"scaled_attention": True, "positive_window": True, "fusion": "sum", "share_cross_weights": False}
 
@@ -121,9 +123,9 @@ class ModelConfig:
         if not (self.use_visual or self.use_audio):
             raise ConfigError("at least one of use_visual/use_audio must be enabled")
         for name in ("model_dim", "heads", "uni_layers", "cross_layers", "decoder_layers", "query_layers",
-                     "n_bottleneck", "max_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
+                     "n_bottleneck", "max_len", "visual_dim", "audio_dim", "text_dim"):
+            if not 1 <= getattr(self, name) <= _MAX_SIZE:
+                raise ConfigError(f"{name} must lie in [1, {_MAX_SIZE}]")
         if self.model_dim % self.heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by heads {self.heads}")
         for name in ("dropout", "pre_dropout_av", "pre_dropout_text"):

@@ -56,7 +56,11 @@ class TrainConfig:
             raise ConfigError(f"checkpoint_every must be nonnegative, got {self.checkpoint_every}")
         if self.tasks not in TASKS:
             raise ConfigError(f"tasks must be one of {TASKS}, got {self.tasks!r}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
+        # written so that NaN fails each comparison
+        for name in ("learning_rate", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be positive when set, got {self.clip_norm}")
 
     def task_weights(self) -> LossWeights:

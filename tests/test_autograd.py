@@ -62,47 +62,25 @@ def test_mac_counter_counts_forward_only():
     assert ag.mac_count() == 3 * 4 * 5  # backward matmuls are raw numpy, not tallied
 
 
+def attend_softmax(x):
+    """Row softmax of finite ``x`` through ``attend``: with identity keys and values, its output is its weights."""
+    eye = ag.Tensor(np.eye(x.shape[1]))
+    return ag.attend(ag.Tensor(x), eye, eye, 1, 1.0).data
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(2)
     for trial in range(20):
-        x = rng.normal(size=(4, 7)) * rng.uniform(0.1, 50.0)
-        s = ag.softmax(ag.Tensor(x), axis=-1)
-        np.testing.assert_allclose(s.data.sum(axis=-1), np.ones(4), atol=1e-12)
-        assert np.all(s.data >= 0.0)
+        s = attend_softmax(rng.normal(size=(4, 7)) * rng.uniform(0.1, 50.0))
+        np.testing.assert_allclose(s.sum(axis=-1), np.ones(4), atol=1e-12)
+        assert np.all(s >= 0.0)
 
 
 def test_softmax_is_shift_invariant_and_stable():
     x = np.array([[1000.0, 1000.5, 999.0]])
-    s = ag.softmax(ag.Tensor(x), axis=-1)
-    t = ag.softmax(ag.Tensor(x - 1000.0), axis=-1)
-    np.testing.assert_allclose(s.data, t.data, atol=1e-15)
-    assert np.all(np.isfinite(s.data))
-
-
-def test_softmax_rejects_non_finite():
-    with pytest.raises(ag.NumericError):
-        ag.softmax(ag.Tensor(np.array([1.0, np.inf])))
-    with pytest.raises(ag.NumericError):
-        ag.softmax(ag.Tensor(np.array([np.nan, 0.0])))
-    with pytest.raises(ag.NumericError):  # -inf never sets a row maximum; the global minimum catches it
-        ag.softmax(ag.Tensor(np.array([[0.0, 1.0], [2.0, -np.inf]])))
-
-
-def test_softmax_gradients():
-    rng = np.random.default_rng(3)
-    x = ag.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
-    w = ag.Tensor(rng.normal(size=(3, 6)))
-
-    def loss():
-        return ag.sum_(ag.mul(ag.softmax(x, axis=-1), w))
-
-    fd_check(loss, [("x", x)])
-
-    def scaled_loss():
-        return ag.sum_(ag.mul(ag.softmax(x, axis=-1, scale=0.37), w))
-
-    fd_check(scaled_loss, [("x", x)])
-    np.testing.assert_array_equal(ag.softmax(x, scale=0.37).data, ag.softmax(ag.mul(x, 0.37)).data)
+    s = attend_softmax(x)
+    np.testing.assert_allclose(s, attend_softmax(x - 1000.0), atol=1e-15)
+    assert np.all(np.isfinite(s))
 
 
 @pytest.mark.parametrize("n_heads,scale", [(1, 1.0), (1, 0.5), (4, 1.0), (4, 0.5)])
@@ -124,7 +102,9 @@ def test_attend_is_softmax_of_scaled_scores_per_head():
     q, k, v = rng.normal(size=(3, 8)), rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
     out = ag.attend(ag.Tensor(q), ag.Tensor(k), ag.Tensor(v), 2, 0.5).data
     for cols in (slice(0, 4), slice(4, 8)):
-        weights = ag.softmax(ag.Tensor(q[:, cols] @ k[:, cols].T), scale=0.5).data
+        scores = 0.5 * (q[:, cols] @ k[:, cols].T)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
         np.testing.assert_allclose(out[:, cols], weights @ v[:, cols], rtol=1e-13, atol=1e-15)
 
 
@@ -282,41 +262,16 @@ def test_dropout_gradients_with_reseeded_stream():
 def test_elementwise_op_gradients(seed):
     rng = np.random.default_rng(100 + seed)
     x = ag.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    y = ag.Tensor(rng.normal(size=(3, 4)) + 3.5, requires_grad=True)  # positive shift for log
+    y = ag.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = ag.Tensor(rng.normal(size=(3, 4)))
 
     def loss():
         t = ag.add(ag.mul(ag.relu(x), w), ag.sigmoid(x))
-        t = ag.add(t, ag.log(y))
         t = ag.add(t, ag.softplus(x))
-        t = ag.add(t, ag.power(y, 2.0))
-        return ag.mean(ag.mul(t, w))
+        t = ag.add(t, ag.mul(y, y))
+        return ag.sum_(ag.mul(t, w))
 
     fd_check(loss, [("x", x), ("y", y)])
-
-
-def test_abs_and_clip_gradients_away_from_kinks():
-    rng = np.random.default_rng(11)
-    raw = rng.normal(size=(4, 4))
-    raw[np.abs(raw) < 0.3] = 0.5  # keep coordinates off the non-differentiable points
-    x = ag.Tensor(raw, requires_grad=True)
-
-    def loss():
-        return ag.sum_(ag.add(ag.absolute(x), ag.clip(x, -0.9, 0.9)))
-
-    fd_check(loss, [("x", x)])
-
-
-def test_clip_zeroes_gradient_outside_range():
-    x = ag.Tensor(np.array([-2.0, 0.0, 2.0]), requires_grad=True)
-    out = ag.sum_(ag.clip(x, -1.0, 1.0))
-    ag.backward(out)
-    np.testing.assert_array_equal(x.grad, np.array([0.0, 1.0, 0.0]))
-
-
-def test_log_rejects_nonpositive():
-    with pytest.raises(ag.NumericError):
-        ag.log(ag.Tensor(np.array([1.0, 0.0])))
 
 
 def test_broadcast_add_and_mul_gradients():
@@ -329,16 +284,6 @@ def test_broadcast_add_and_mul_gradients():
         return ag.sum_(ag.mul(ag.add(x, row), scalar))
 
     fd_check(loss, [("x", x), ("row", row), ("scalar", scalar)])
-
-
-def test_gather_rows_accumulates_repeats():
-    x = ag.Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
-    out = ag.sum_(ag.gather_rows(x, [1, 1, 3]))
-    ag.backward(out)
-    expected = np.zeros((4, 3))
-    expected[1] = 2.0
-    expected[3] = 1.0
-    np.testing.assert_array_equal(x.grad, expected)
 
 
 def test_slice_rows_gradients():
@@ -354,13 +299,13 @@ def test_slice_rows_gradients():
         np.testing.assert_array_equal(ag.slice_rows(x, a, b).data, x.data[a:b])
 
 
-def test_reshape_mean_gradients():
+def test_reshape_gradients():
     rng = np.random.default_rng(14)
     x = ag.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    w = ag.Tensor(rng.normal(size=(2, 3, 4)))
+    w = ag.Tensor(rng.normal(size=(6, 4)))
 
     def loss():
-        return ag.mean(ag.reshape(ag.mul(x, w), (24,)))
+        return ag.sum_(ag.mul(ag.reshape(ag.mul(x, x), (6, 4)), w))
 
     fd_check(loss, [("x", x)])
 
@@ -485,9 +430,9 @@ def test_layer_norm_hand_cases():
 
 
 def test_softmax_symmetry_and_extreme_logits():
-    np.testing.assert_allclose(ag.softmax(ag.Tensor(np.array([0.0, 0.0]))).data, [0.5, 0.5], atol=1e-15)
-    out = ag.softmax(ag.Tensor(np.array([1000.0, 0.0]))).data
-    assert out[0] > 1.0 - 1e-12 and out[1] < 1e-12 and np.all(np.isfinite(out))
+    np.testing.assert_allclose(attend_softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]], atol=1e-15)
+    out = attend_softmax(np.array([[1000.0, 0.0], [0.0, -1000.0]]))
+    assert out[0, 0] > 1.0 - 1e-12 and out[0, 1] < 1e-12 and out[1, 1] < 1e-12 and np.all(np.isfinite(out))
 
 
 def test_dropout_empirical_rate_large_sample():

@@ -220,6 +220,8 @@ MALFORMED = {
     "checkpoint header not an object": (_rewrite_checkpoint_header, lambda doc: [doc], CheckpointError),
     "checkpoint config max_len 2**45": (
         _rewrite_checkpoint_header, _set("config", "max_len", value=2**45), CheckpointError),
+    "checkpoint config visual_dim 10**400": (
+        _rewrite_checkpoint_header, _set("config", "visual_dim", value=10**400), ConfigError),
     "checkpoint config dropout 1.5": (_rewrite_checkpoint_header, _set("config", "dropout", value=1.5), ConfigError),
     "checkpoint config heads 0": (_rewrite_checkpoint_header, _set("config", "heads", value=0), ConfigError),
     "checkpoint config heads true": (_rewrite_checkpoint_header, _set("config", "heads", value=True), CheckpointError),
@@ -277,6 +279,12 @@ BAD_CONFIG_LINES = {
     'train.epochs = "abc"': ("train", DataError),
     "train.batch_size = 2.5": ("train", DataError),
     'train.learning_rate = "x"': ("train", DataError),
+    "train.learning_rate = 1e400": ("train", ConfigError),
+    "train.learning_rate = NaN": ("train", ConfigError),
+    "train.weight_decay = 1e400": ("train", ConfigError),
+    "train.clip_norm = NaN": ("train", ConfigError),
+    f"model.visual_dim = {10**400}": ("train", ConfigError),
+    "model.visual_dim = 0": ("train", ConfigError),
     "synth.n_videos = 1.5": ("synth", DataError),
     "train.batch_size = 0": ("train", ConfigError),
     "eval.top_k = true": ("predict", DataError),

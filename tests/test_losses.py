@@ -237,3 +237,60 @@ def test_loss_gradients_by_finite_differences():
         step=1e-5, floor=1e-3,
     )
     assert report.ok(1e-6), f"max rel err {report.max_rel_err:.3e} at {report.worst_param}[{report.worst_index}]"
+
+
+def test_clamped_predictions_get_zero_gradient():
+    clamp = L.PROB_CLAMP
+    # the two ends of the clamp pass through; everything beyond them is held
+    pred = np.array([0.0, 1e-9, clamp, 0.3, 1.0 - clamp, 1.0 - 1e-10, 1.0])
+    held = np.array([True, True, False, False, False, True, True])
+    heatmap = np.array([1.0, 0.5, 1.0, 0.2, 0.7, 1.0, 0.1])
+    for loss in (lambda p: L.saliency_loss(p, np.full(7, 0.6)), lambda p: L.focal_center_loss(p, heatmap, 2)):
+        p = Tensor(pred.copy(), requires_grad=True)
+        ag.backward(loss(p))
+        assert np.all(p.grad[held] == 0.0)
+        assert np.all(p.grad[~held] != 0.0) and np.all(np.isfinite(p.grad))
+
+
+def test_worst_predictions_give_a_finite_bounded_loss():
+    # a confident wrong answer costs -log(PROB_CLAMP), never an infinity
+    bound = -math.log(L.PROB_CLAMP)
+    assert L.saliency_loss(Tensor(np.array([0.0, 1.0])), np.array([1.0, 0.0])).item() == pytest.approx(bound)
+    focal = L.focal_center_loss(Tensor(np.array([0.0, 1.0])), np.array([1.0, 0.0]), n_moments=1).item()
+    assert focal == pytest.approx(2.0 * bound)
+
+
+def test_regression_gradient_accumulates_at_a_shared_center():
+    ts = L.build_targets([MomentAnnotation(5.1, 2.0), MomentAnnotation(5.3, 3.0)], None, 12)
+    assert ts.center_indices.tolist() == [5, 5]
+    window = Tensor(np.full(12, 10.0), requires_grad=True)  # above both windows
+    offset = Tensor(np.full(12, 0.2), requires_grad=True)   # between the two offsets 0.1 and 0.3
+    l_w, l_o = L.regression_losses(window, offset, ts)
+    ag.backward(ag.add(l_w, l_o))
+    expected = np.zeros(12)
+    expected[5] = 1.0  # two moments, each 1/2 with sign +1
+    np.testing.assert_array_equal(window.grad, expected)
+    np.testing.assert_array_equal(offset.grad, np.zeros(12))  # +1/2 and -1/2 cancel
+
+
+def test_l1_and_clamp_gradients_away_from_kinks():
+    rng = np.random.default_rng(11)
+    n = 12
+    ts = L.build_targets([MomentAnnotation(2.2, 3.0), MomentAnnotation(8.0, 4.0)], rng.uniform(0, 1, n), n)
+    probs = rng.uniform(0.1, 0.9, n)
+    probs[[1, 4]], probs[[6, 9]] = -0.5, 1.5  # held by the clamp for any small step
+    pred_s = Tensor(probs.copy(), requires_grad=True)
+    pred_h = Tensor(probs[::-1].copy(), requires_grad=True)
+    pred_w = Tensor(rng.normal(size=n) + 1.0, requires_grad=True)  # errors of 0.5 and more
+    pred_o = Tensor(np.full(n, 0.5), requires_grad=True)
+
+    def loss():
+        l_w, l_o = L.regression_losses(pred_w, pred_o, ts)
+        l_s = L.saliency_loss(pred_s, ts.saliency_targets)
+        return L.total_loss(l_s, L.focal_center_loss(pred_h, ts.heatmap, ts.n_moments), l_w, l_o)
+
+    errors = np.abs(pred_w.data[ts.center_indices] - ts.window_targets)
+    assert errors.min() > 0.1
+    report = check_gradients(loss, [("s", pred_s), ("h", pred_h), ("w", pred_w), ("o", pred_o)],
+                             step=1e-5, floor=1e-3)
+    assert report.ok(1e-6), f"max rel err {report.max_rel_err:.3e} at {report.worst_param}[{report.worst_index}]"
