@@ -417,14 +417,17 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match normalized dim {dim}"
         )
-    centred = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + 1e-5)
+    # ``sum / dim`` is how numpy computes ``mean``, bit for bit, without its overhead
+    centred = x - x.sum(axis=-1, keepdims=True) / dim
+    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / dim + 1e-5)
     xhat = centred * inv
     data = xhat * gain.data + bias.data
 
     def backward(g):
         dxhat = g * gain.data
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        mean_dxhat = dxhat.sum(axis=-1, keepdims=True) / dim
+        mean_proj = (dxhat * xhat).sum(axis=-1, keepdims=True) / dim
+        dx = inv * (dxhat - mean_dxhat - xhat * mean_proj)
         _accumulate(a, dx)
         _accumulate(gain, (g * xhat).reshape(-1, dim).sum(axis=0))
         _accumulate(bias, g.reshape(-1, dim).sum(axis=0))

@@ -5,6 +5,13 @@ per-epoch shuffles come from one generator, dropout masks from another, and
 checkpoints are written atomically, so identical runs produce byte-identical
 checkpoint files and loss histories.
 
+A step optimizes the mean loss of a batch. Each sample is differentiated as
+soon as its loss exists, its share of the mean scaled by 1/B, before the next
+sample's forward starts: a step holds one sample's tape, not B, and gradients
+add up in the parameters. No node is shared between samples, and a backward
+through the summed batch graph also runs one sample's nodes after another, so
+the gradients are bitwise that backward's.
+
 Task selection ("mr", "hd", "both") works by zeroing the loss weights of the
 inactive task, which leaves targets and the model untouched — the single-task
 configurations differ from joint training only in which heads receive
@@ -60,6 +67,10 @@ class TrainConfig:
         for name in ("learning_rate", "weight_decay"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
+        for name in ("saliency", "center", "window", "offset"):
+            weight = getattr(self.weights, name)
+            if not 0.0 <= weight < math.inf:
+                raise ConfigError(f"loss weight {name} must be finite and nonnegative, got {weight}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be positive when set, got {self.clip_norm}")
 
@@ -81,6 +92,7 @@ class AdamW:
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    block = 16384  # elements updated at a time, so the step's temporaries stay in cache
 
     def __init__(self, params, lr: float = 1e-3, weight_decay: float = 1e-4):
         self.params: list[tuple[str, Tensor]] = list(params)
@@ -89,6 +101,7 @@ class AdamW:
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for _, p in self.params]
         self._v = [np.zeros_like(p.data) for _, p in self.params]
+        self._scratch = (np.empty(self.block), np.empty(self.block))
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -107,17 +120,38 @@ class AdamW:
         return norm
 
     def step(self) -> None:
+        """One update of every parameter, in place.
+
+        Each block evaluates, in this operand order, ``m = b1 m + (1 - b1) g``,
+        ``v = b2 v + ((1 - b2) g) g`` and
+        ``p = p - lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd p)``.
+        """
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
+        a_buf, b_buf = self._scratch
         for (_, p), m, v in zip(self.params, self._m, self._v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - self.lr * (update + self.weight_decay * p.data)
+            flat = (p.data.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1))
+            for lo in range(0, p.data.size, self.block):
+                pb, gb, mb, vb = (x[lo : lo + self.block] for x in flat)
+                a, b = a_buf[: pb.size], b_buf[: pb.size]
+                mb *= self.beta1
+                np.multiply(1.0 - self.beta1, gb, out=a)
+                mb += a
+                vb *= self.beta2
+                np.multiply(1.0 - self.beta2, gb, out=a)
+                a *= gb
+                vb += a
+                np.divide(mb, bc1, out=a)
+                np.divide(vb, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                np.multiply(self.weight_decay, pb, out=b)
+                a += b
+                a *= self.lr
+                pb -= a
 
 
 @dataclass
@@ -141,7 +175,11 @@ def sample_loss(model: MomentModel, sample: VideoSample, targets, weights: LossW
 
 def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
           out_dir: str | Path | None = None) -> TrainResult:
-    """Optimize the model in place; returns loss history and checkpoint paths."""
+    """Optimize the model in place; returns loss history and checkpoint paths.
+
+    Each sample's loss is differentiated as soon as it exists, so a step holds
+    one sample's tape; the batch value is ``((s1 + s2) + ...) * (1 / B)``.
+    """
     config.validate()
     if not samples:
         raise DataError("training needs at least one sample")
@@ -161,15 +199,16 @@ def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
         for start in range(0, len(samples), config.batch_size):
             batch = perm[start : start + config.batch_size]
             opt.zero_grad()
-            total: Tensor | None = None
+            value: float | None = None
             comps = np.zeros(4)
             for idx in batch:
                 sample_total, parts = sample_loss(model, samples[idx], targets[idx], weights, drop_rng)
-                total = sample_total if total is None else ag.add(total, sample_total)
+                # the mean is linear, so each sample's share is differentiated now and its tape freed
+                ag.backward(ag.mul(sample_total, 1.0 / len(batch)))
+                value = sample_total.item() if value is None else value + sample_total.item()
                 comps += parts
-            total = ag.mul(total, 1.0 / len(batch))
+            value *= 1.0 / len(batch)
             comps /= len(batch)
-            value = total.item()
             batch_id = start // config.batch_size
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss {value} at epoch {epoch} batch {batch_id}")
@@ -181,7 +220,6 @@ def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
                 raise NumericError(
                     f"loss bookkeeping drift {abs(value - recombined):.3e} at epoch {epoch} batch {batch_id}"
                 )
-            ag.backward(total)
             if config.clip_norm is not None:
                 opt.clip_gradients(config.clip_norm)
             opt.step()

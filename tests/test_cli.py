@@ -283,6 +283,9 @@ BAD_CONFIG_LINES = {
     "train.learning_rate = NaN": ("train", ConfigError),
     "train.weight_decay = 1e400": ("train", ConfigError),
     "train.clip_norm = NaN": ("train", ConfigError),
+    "loss.center = -5.0": ("train", ConfigError),
+    "loss.saliency = 1e400": ("train", ConfigError),
+    "loss.window = NaN": ("train", ConfigError),
     f"model.visual_dim = {10**400}": ("train", ConfigError),
     "model.visual_dim = 0": ("train", ConfigError),
     "synth.n_videos = 1.5": ("synth", DataError),

@@ -2,17 +2,19 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from momentkit import autograd as ag
-from momentkit.autograd import NumericError, Tensor
+from momentkit.autograd import NumericError, RngState, Tensor
 from momentkit.data import DataError, SynthConfig, VideoSample, synthesize_dataset
 from momentkit.decode import read_predictions
+from momentkit.losses import LossWeights, build_targets
 from momentkit.metrics import build_report
 from momentkit.model import ConfigError, ModelConfig, MomentModel
-from momentkit.train import AdamW, TrainConfig, evaluate, predict, train
+from momentkit.train import AdamW, TrainConfig, evaluate, predict, sample_loss, train
 
 MODEL = dict(
     model_dim=8, heads=2, uni_layers=1, cross_layers=1, decoder_layers=1,
@@ -52,6 +54,30 @@ def test_adamw_matches_reference_updates():
         v_hat = v / (1 - 0.999**t)
         ref = ref - 0.1 * (m_hat / (np.sqrt(v_hat) + 1e-8) + 0.01 * ref)
         np.testing.assert_allclose(p.data, ref, atol=1e-12)
+
+
+def test_adamw_in_place_blocks_equal_whole_array_expressions():
+    """The blocked in-place step is bitwise the whole-array update, across block edges and without a gradient."""
+    rng = np.random.default_rng(0)
+    shapes = [(AdamW.block * 2 + 5,), (3, 5), (7,)]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    opt = AdamW([(str(i), p) for i, p in enumerate(params)], lr=0.01, weight_decay=0.1)
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros_like(r) for r in ref]
+    v = [np.zeros_like(r) for r in ref]
+    b1, b2, eps = AdamW.beta1, AdamW.beta2, AdamW.eps
+    for t in range(1, 4):
+        grads = [rng.normal(size=s) for s in shapes[:-1]] + [None]  # the last parameter gets no gradient
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        for i, g in enumerate(grads):
+            g = np.zeros_like(ref[i]) if g is None else g
+            m[i] = m[i] * b1 + (1.0 - b1) * g
+            v[i] = v[i] * b2 + (1.0 - b2) * g * g
+            update = (m[i] / (1.0 - b1**t)) / (np.sqrt(v[i] / (1.0 - b2**t)) + eps)
+            ref[i] = ref[i] - 0.01 * (update + 0.1 * ref[i])
+            assert params[i].data.tobytes() == ref[i].tobytes(), (t, i)
 
 
 def test_weight_decay_is_decoupled_from_gradients():
@@ -124,6 +150,54 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     assert hashlib.sha256((tmp_path / "final.ckpt").read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
 
 
+def test_a_step_equals_one_backward_through_the_summed_batch_graph():
+    """Per-sample backward gives the gradients and update of the whole batch's mean, bit for bit."""
+    samples = tiny_dataset(n=4, seed=2)
+    cfg = TrainConfig(epochs=1, batch_size=4, seed=1)
+    model = make_model(seed=3)
+    train(model, samples, cfg)
+
+    ref = make_model(seed=3)
+    drop_rng = RngState(cfg.seed)
+    total = None
+    for idx in np.random.default_rng(cfg.seed).permutation(len(samples)):
+        s = samples[idx]
+        targets = build_targets(s.moments, s.saliency, s.n_clips)
+        loss, _ = sample_loss(ref, s, targets, cfg.task_weights(), drop_rng)
+        total = loss if total is None else ag.add(total, loss)
+    ag.backward(ag.mul(total, 1.0 / len(samples)))
+    AdamW(ref.named_parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay).step()
+    for (name, p), (_, q) in zip(model.named_parameters(), ref.named_parameters()):
+        assert p.grad is not None and q.grad is not None, name
+        assert p.grad.tobytes() == q.grad.tobytes(), name
+        assert p.data.tobytes() == q.data.tobytes(), name
+
+
+def test_a_training_step_holds_one_samples_tape():
+    """An epoch of one batch of four peaks near one sample's tape, not four, above the optimizer state."""
+    # few parameters and long sequences, so the tape dominates the heap
+    n_clips = 128
+    samples = tiny_dataset(n=4, n_clips=n_clips)
+    model = make_model(model_dim=8, max_len=n_clips)
+    s = samples[0]
+    tracemalloc.start()
+    try:
+        loss, _ = sample_loss(model, s, build_targets(s.moments, s.saliency, s.n_clips), LossWeights(), RngState(0))
+        tape = tracemalloc.get_traced_memory()[0]
+        ag.backward(loss)
+        for _, p in model.named_parameters():
+            p.zero_grad()
+        del loss
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        train(model, samples, TrainConfig(epochs=1, batch_size=4, seed=0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    optimizer_state = 2 * sum(p.data.nbytes for _, p in model.named_parameters())
+    assert peak < optimizer_state + 1.5 * tape, (peak, optimizer_state, tape)
+
+
 def test_loss_decreases_on_tiny_overfit():
     samples = tiny_dataset(n=2)
     model = make_model(seed=3)
@@ -171,6 +245,10 @@ def test_train_config_validation():
         TrainConfig(tasks="everything").validate()
     with pytest.raises(ValueError):
         TrainConfig(clip_norm=-1.0).validate()
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="center"):
+            TrainConfig(weights=LossWeights(center=bad)).validate()
+    TrainConfig(weights=LossWeights(saliency=0.0), tasks="hd").validate()  # zero weights stay valid
     with pytest.raises(DataError):
         train(make_model(), [], TrainConfig(epochs=1))
 
