@@ -4,9 +4,10 @@ Every differentiable value in the library is a :class:`Tensor` wrapping a
 C-contiguous float64 numpy array. Operations build a tape (each output
 remembers its parents and a closure that pushes gradients to them);
 ``backward`` walks the tape once in reverse topological order and consumes
-it: each node drops its closure and parent links as soon as it has run, so an
-intermediate array is freed once the last node that reads it is done, and a
-second backward through any node of a consumed graph is an error.
+it: each node drops its closure and sets its parent links to ``None`` as soon
+as it has run, so an intermediate array is freed once the last node that reads
+it is done, and a second backward through any node of a consumed graph is an
+error.
 
 Design constraints:
   * first-order gradients only, single-threaded per graph
@@ -109,15 +110,15 @@ def _as_array(data) -> np.ndarray:
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse-mode autodiff."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_backward_done")
+    # ``_parents`` is ``()`` for a leaf or constant and ``None`` once backward has consumed the node
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor, ...] | None = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
-        self._backward_done = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -329,21 +330,21 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _softmax_(data: np.ndarray, axis: int) -> None:
-    """Softmax of already-scaled ``data`` along ``axis``, in place; rejects non-finite input."""
-    peak = data.max(axis=axis, keepdims=True)
+def _softmax_(data: np.ndarray) -> None:
+    """Softmax of already-scaled ``data`` along its last axis, in place; rejects non-finite input."""
+    peak = data.max(axis=-1, keepdims=True)
     # NaN and +inf show in a row maximum, -inf in the global minimum
     if not (np.isfinite(peak).all() and np.isfinite(data.min())):
         raise NumericError("softmax requires finite input")
     data -= peak
     np.exp(data, out=data)
-    data /= data.sum(axis=axis, keepdims=True)
+    data /= data.sum(axis=-1, keepdims=True)
 
 
-def _softmax_grad(g: np.ndarray, data: np.ndarray, axis: int, scale: float) -> np.ndarray:
-    """Gradient of the scores given the output gradient ``g`` and the softmax output ``data``."""
+def _softmax_grad(g: np.ndarray, data: np.ndarray, scale: float) -> np.ndarray:
+    """Gradient of the scores given the output gradient ``g`` and the last-axis softmax output ``data``."""
     dx = g * data
-    dot = dx.sum(axis=axis, keepdims=True)
+    dot = dx.sum(axis=-1, keepdims=True)
     np.subtract(g, dot, out=dx)
     dx *= data
     dx *= scale
@@ -382,14 +383,14 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tenso
         w = weights[h if taped else 0]
         np.matmul(q.data[:, cols], k_t(cols), out=w)
         w *= scale
-        _softmax_(w, -1)
+        _softmax_(w)
         np.matmul(w, v.data[:, cols], out=out[:, cols])
 
     def backward(g):
         gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
         for h, cols in enumerate(heads):
             np.matmul(weights[h].T, g[:, cols], out=gv[:, cols])
-            gs = _softmax_grad(g[:, cols] @ v.data[:, cols].T, weights[h], -1, scale)
+            gs = _softmax_grad(g[:, cols] @ v.data[:, cols].T, weights[h], scale)
             np.matmul(gs, k_t(cols).T, out=gq[:, cols])
             gk[:, cols] = (q.data[:, cols].T @ gs).T
         _accumulate(q, gq)
@@ -510,7 +511,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
-        if node._backward_done:
+        if node._parents is None:
             raise RuntimeError("backward already ran through part of this graph; rebuild it before calling again")
         seen.add(id(node))
         stack.append((node, True))
@@ -520,36 +521,26 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Populate gradients for every requires_grad leaf under a scalar loss.
+def backward(loss: Tensor) -> None:
+    """Add the gradient of a scalar loss into ``.grad`` of every requires_grad leaf under it.
 
-    Returns a map from leaf tensors (graph inputs with requires_grad) to their
-    gradients. Backward consumes the graph as it runs: once a node has pushed
-    its gradient to its parents, it drops that gradient, its closure and its
+    The root's own gradient of 1 is added like any other: a leaf root adds 1
+    into its ``.grad`` and a root that needs no gradient makes the call a
+    no-op. Backward consumes the graph as it runs: once a node has pushed its
+    gradient to its parents, it drops that gradient, its closure and its
     parent links, so each intermediate array is released when the last node
     that reads it has run, even while the caller still holds the loss.
-    Running backward again through any node of a consumed graph is an error;
-    build a fresh graph instead. A leaf passed as the loss has no closure to
-    consume and stays usable.
+    Running backward again through any node of a consumed graph is an error
+    that changes no gradient; build a fresh graph instead.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss._backward_done:
-        raise RuntimeError("backward was already run on this loss; rebuild the graph before calling again")
-    order = _topo_order(loss) if loss.requires_grad else []
-    if loss._backward_fn is not None or not loss.requires_grad:
-        loss._backward_done = True
-    if not order:
-        return {}
-    leaves = [t for t in order if t._backward_fn is None]
-    loss.grad = np.ones_like(loss.data)
+    order = _topo_order(loss)
+    _accumulate(loss, np.ones_like(loss.data))
     while order:
         node = order.pop()
         if node._backward_fn is None:
             continue
         if node.grad is not None:
             node._backward_fn(node.grad)
-        node.grad = node._backward_fn = None
-        node._parents = ()
-        node._backward_done = True
-    return {t: t.grad for t in leaves if t.grad is not None}
+        node.grad = node._backward_fn = node._parents = None

@@ -21,9 +21,9 @@ BENCH_TOKENS = 4
 
 
 def measure_bottleneck_macs(n_clips: int, dim: int = BENCH_DIM, heads: int = BENCH_HEADS,
-                            n_tokens: int = BENCH_TOKENS, seed: int = 0) -> int:
+                            n_tokens: int = BENCH_TOKENS) -> int:
     """MACs for one compress+expand round over a length-``n_clips`` sequence."""
-    rng = RngState(seed)
+    rng = RngState(0)
     comp = AttentionParams(dim, heads, rng)
     expd = AttentionParams(dim, heads, rng)
     tokens = BottleneckTokens(n_tokens, dim, rng)
@@ -35,10 +35,9 @@ def measure_bottleneck_macs(n_clips: int, dim: int = BENCH_DIM, heads: int = BEN
         return ag.mac_count()
 
 
-def measure_full_attention_macs(n_clips: int, dim: int = BENCH_DIM, heads: int = BENCH_HEADS,
-                                seed: int = 0) -> int:
+def measure_full_attention_macs(n_clips: int, dim: int = BENCH_DIM, heads: int = BENCH_HEADS) -> int:
     """MACs for one all-pairs self-attention over the same sequence (reference)."""
-    rng = RngState(seed)
+    rng = RngState(0)
     params = AttentionParams(dim, heads, rng)
     x = Tensor(rng.normal((n_clips, dim)))
     with ag.no_grad():
@@ -82,14 +81,6 @@ class ScalingReport:
         return "\n".join(lines)
 
 
-def scaling_report(lengths: tuple[int, ...] = (64, 128), dim: int = BENCH_DIM,
-                   heads: int = BENCH_HEADS, n_tokens: int = BENCH_TOKENS) -> ScalingReport:
-    points = [
-        ScalingPoint(
-            n_clips=n,
-            bottleneck_macs=measure_bottleneck_macs(n, dim, heads, n_tokens),
-            full_macs=measure_full_attention_macs(n, dim, heads),
-        )
-        for n in lengths
-    ]
+def scaling_report(lengths: tuple[int, ...] = (64, 128)) -> ScalingReport:
+    points = [ScalingPoint(n, measure_bottleneck_macs(n), measure_full_attention_macs(n)) for n in lengths]
     return ScalingReport(points)

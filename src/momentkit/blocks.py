@@ -10,11 +10,11 @@ Three attention wirings cover everything the model needs:
 
 All three share one primitive: out_i = res_i + W_z · sum_j a_ij · (v_j W_v)
 with a_ij = softmax_j(s · (q_i W_q) · (k_j W_k)) per head, where the score
-scale s is 1/sqrt(head_dim), or 1 for an unscaled block. The heads are computed
-one at a time inside a single ``ag.attend`` op, which builds, softmaxes and
-mixes each head's scores while they sit in cache. Learnable positional
-encodings are added to the *inputs* of the query/key projections only — never
-to the values — and each wiring chooses which side receives them.
+scale s is 1/sqrt(head_dim). The heads are computed one at a time inside a
+single ``ag.attend`` op, which builds, softmaxes and mixes each head's scores
+while they sit in cache. Learnable positional encodings are added to the
+*inputs* of the query/key projections only — never to the values — and each
+wiring chooses which side receives them.
 
 Each ``AttentionParams`` owns its dropout rate and score scale, and each
 ``FeedForward`` its dropout rate; both are fixed when the block is built.
@@ -105,19 +105,15 @@ class BottleneckTokens(Module):
 
 
 class AttentionParams(Module):
-    """Projection weights (no biases), output dropout rate and score scale of one multi-head attention block.
+    """Projection weights (no biases), output dropout rate and score scale of one multi-head attention block."""
 
-    ``scaled=False`` drops the 1/sqrt(head_dim) factor on the scores, reducing
-    each head to the plain bilinear form that the reference oracles compute.
-    """
-
-    def __init__(self, dim: int, n_heads: int, rng: RngState, drop_rate: float = 0.0, scaled: bool = True):
+    def __init__(self, dim: int, n_heads: int, rng: RngState, drop_rate: float = 0.0):
         if dim % n_heads != 0:
             raise ShapeError(f"model dim {dim} is not divisible by head count {n_heads}")
         self.n_heads = n_heads
         self.head_dim = dim // n_heads
         self.drop_rate = drop_rate
-        self.scale = 1.0 / math.sqrt(self.head_dim) if scaled else 1.0
+        self.scale = 1.0 / math.sqrt(self.head_dim)
         self.w_q = _uniform_init(rng, dim, (dim, dim))
         self.w_k = _uniform_init(rng, dim, (dim, dim))
         self.w_v = _uniform_init(rng, dim, (dim, dim))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -239,10 +240,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_bench_attn(args) -> int:
-    lengths = tuple(int(v) for v in args.lengths.split(","))
-    if len(lengths) < 2:
+    if len(args.lengths) < 2:
         raise DataError("bench-attn needs at least two sequence lengths")
-    report = scaling_report(lengths=lengths)
+    report = scaling_report(lengths=args.lengths)
     payload = report.as_dict()
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
@@ -254,6 +254,25 @@ def cmd_bench_attn(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 # ---------------------------------------------------------------------------
+
+def _positive(kind):
+    """An argparse ``type`` accepting a finite ``kind`` value above zero; anything else is a usage error."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a positive, finite {kind.__name__}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _lengths(text: str) -> tuple[int, ...]:
+    return tuple(map(_positive(int), text.split(",")))
+
 
 class UsageParser(argparse.ArgumentParser):
     """An argument parser whose usage errors are one JSON line on stderr and exit status 2."""
@@ -299,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of the full model")
-    p.add_argument("--coords", type=int, default=3, help="sampled coordinates per parameter")
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--coords", type=_positive(int), default=3, help="sampled coordinates per parameter")
+    p.add_argument("--tolerance", type=_positive(float), default=1e-4)
     common(p, "optional path for the JSON report")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("bench-attn", help="operation-count scaling report")
-    p.add_argument("--lengths", default="64,128", help="comma-separated clip counts")
+    p.add_argument("--lengths", type=_lengths, default="64,128", help="comma-separated clip counts")
     p.add_argument("--out", help="optional path for the JSON report")
     p.set_defaults(func=cmd_bench_attn)
     return parser

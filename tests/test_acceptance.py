@@ -85,7 +85,7 @@ def test_criterion_2_equation_oracles():
         heads = int(rng.choice([1, 2, 4]))
         n_x = int(rng.integers(1, 9))   # N_v <= 8
         n_z = int(rng.integers(1, 5))
-        params = blocks.AttentionParams(dim, heads, RngState(6000 + trial), scaled=False)
+        params = blocks.AttentionParams(dim, heads, RngState(6000 + trial))
         w = (params.w_q.data, params.w_k.data, params.w_v.data, params.w_z.data)
         x = rng.normal(size=(n_x, dim))
         z = rng.normal(size=(n_z, dim))

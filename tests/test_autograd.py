@@ -324,23 +324,21 @@ def test_backward_twice_is_an_error():
         ag.backward(loss)
 
 
-def test_backward_returns_leaf_gradient_map():
+def test_backward_fills_leaf_gradients():
     x = ag.Tensor(np.ones(3), requires_grad=True)
     y = ag.Tensor(np.full(3, 2.0), requires_grad=True)
-    leaves = ag.backward(ag.sum_(ag.mul(x, y)))
-    assert set(leaves) == {x, y}
-    np.testing.assert_array_equal(leaves[x], y.data)
-    np.testing.assert_array_equal(leaves[y], x.data)
+    assert ag.backward(ag.sum_(ag.mul(x, y))) is None
+    np.testing.assert_array_equal(x.grad, y.data)
+    np.testing.assert_array_equal(y.grad, x.data)
 
 
 def test_backward_releases_interior_gradients():
     x = ag.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     hidden = ag.mul(x, x)
     loss = ag.sum_(ag.add(hidden, x))
-    leaves = ag.backward(loss)
+    ag.backward(loss)
     assert hidden.grad is None and loss.grad is None
     np.testing.assert_array_equal(x.grad, 2.0 * x.data + 1.0)
-    assert leaves[x] is x.grad
 
 
 def test_backward_through_a_consumed_subgraph_is_an_error():
@@ -354,11 +352,54 @@ def test_backward_through_a_consumed_subgraph_is_an_error():
     np.testing.assert_array_equal(x.grad, 2.0 * x.data)  # the refused call changed nothing
 
 
-def test_backward_on_a_leaf_leaves_it_usable():
+def _interior(x):
+    return ag.sum_(ag.mul(x, 3.0))
+
+
+def _no_grad_constant(x):
+    with ag.no_grad():
+        return _interior(x)
+
+
+def _consumed_root(x):
+    root = _interior(x)
+    ag.backward(root)
+    return root
+
+
+def _consumed_subgraph(x):
+    shared = ag.mul(x, 3.0)
+    ag.backward(ag.sum_(shared))
+    return ag.sum_(ag.add(ag.mul(x, x), shared))
+
+
+# root kind: (root built over a leaf x = 2 whose .grad already holds 4,
+#             x.grad after each of two backward calls, or RuntimeError where the call is refused)
+ROOT_KINDS = {
+    "interior": (_interior, (7.0, RuntimeError)),
+    "leaf": (lambda x: x, (5.0, 6.0)),  # the root's 1 adds into the gradient it already holds
+    "no-grad constant": (_no_grad_constant, (4.0, 4.0)),
+    "consumed root": (_consumed_root, (RuntimeError, RuntimeError)),  # building it added 3
+    "consumed shared subgraph": (_consumed_subgraph, (RuntimeError, RuntimeError)),
+}
+
+
+@pytest.mark.parametrize("kind", list(ROOT_KINDS))
+def test_backward_by_root_kind(kind):
+    build, after = ROOT_KINDS[kind]
     x = ag.Tensor(np.array([2.0]), requires_grad=True)
-    assert set(ag.backward(x)) == {x}
-    leaves = ag.backward(ag.sum_(ag.mul(x, x)))
-    np.testing.assert_array_equal(leaves[x], np.array([5.0]))  # 1 from the first call, 2x from the second
+    ag.backward(ag.sum_(ag.mul(x, x)))
+    root = build(x)
+    for want in after:
+        x_grad, root_grad = x.grad.copy(), root.grad
+        if want is RuntimeError:
+            with pytest.raises(RuntimeError):
+                ag.backward(root)
+            assert root.grad is root_grad  # the refused call changed no gradient
+            np.testing.assert_array_equal(x.grad, x_grad)
+        else:
+            ag.backward(root)
+            np.testing.assert_array_equal(x.grad, [want])
 
 
 def test_backward_frees_interior_arrays_while_the_loss_is_held():

@@ -16,8 +16,8 @@ from momentkit.fdcheck import check_gradients
 ORACLE_TOL = 1e-10
 
 
-def naive_attention(w_q, w_k, w_v, w_z, q_in, k_in, v_in, residual, n_heads, q_pos=None, k_pos=None, scaled=False):
-    """Reference: explicit loops over heads, query positions, and key positions."""
+def naive_attention(w_q, w_k, w_v, w_z, q_in, k_in, v_in, residual, n_heads, q_pos=None, k_pos=None):
+    """Reference: explicit loops over heads, query positions, and key positions; scores scaled by 1/sqrt(head_dim)."""
     if q_pos is not None:
         q_in = q_in + q_pos
     if k_pos is not None:
@@ -34,8 +34,7 @@ def naive_attention(w_q, w_k, w_v, w_z, q_in, k_in, v_in, residual, n_heads, q_p
             for j in range(nk):
                 kj = k_in[j] @ w_k
                 scores[j] = qi[cols] @ kj[cols]
-            if scaled:
-                scores = scores / math.sqrt(head_dim)
+            scores = scores / math.sqrt(head_dim)
             weights = np.exp(scores) / np.exp(scores).sum()
             acc = np.zeros(head_dim)
             for j in range(nk):
@@ -44,8 +43,8 @@ def naive_attention(w_q, w_k, w_v, w_z, q_in, k_in, v_in, residual, n_heads, q_p
     return residual + merged @ w_z
 
 
-def make_params(dim, n_heads, seed, scaled=True):
-    return blocks.AttentionParams(dim, n_heads, RngState(seed), scaled=scaled)
+def make_params(dim, n_heads, seed):
+    return blocks.AttentionParams(dim, n_heads, RngState(seed))
 
 
 @pytest.mark.parametrize("wiring", ["self", "compress", "expand"])
@@ -57,7 +56,7 @@ def test_attention_wirings_match_naive_oracle(wiring):
         n_heads = int(rng.choice([1, 2, 4]))
         n_x = int(rng.integers(1, 8))
         n_z = int(rng.integers(1, 5))
-        params = make_params(dim, n_heads, seed=2000 + trial, scaled=False)
+        params = make_params(dim, n_heads, seed=2000 + trial)
         x = rng.normal(size=(n_x, dim))
         z = rng.normal(size=(n_z, dim))
         use_pos = trial % 2 == 0
@@ -90,7 +89,7 @@ def test_uniform_weights_reduce_to_neighbourhood_mean():
     # w_q = w_k = 0 makes every score zero, so attention averages the values;
     # with identity value/output maps the block is x_i + mean_j x_j exactly.
     dim = 4
-    params = make_params(dim, 1, seed=3, scaled=False)
+    params = make_params(dim, 1, seed=3)
     params.w_q.data[:] = 0.0
     params.w_k.data[:] = 0.0
     params.w_v.data[:] = np.eye(dim)
@@ -122,7 +121,8 @@ def test_scaled_flag_equals_rescaled_query_weights():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, dim))
     scaled_out = blocks.self_attention(Tensor(x), params)
-    unscaled = make_params(dim, n_heads, seed=6, scaled=False)
+    unscaled = make_params(dim, n_heads, seed=6)
+    unscaled.scale = 1.0
     unscaled.w_q.data[:] = unscaled.w_q.data / math.sqrt(head_dim)
     manual = blocks.self_attention(Tensor(x), unscaled)
     np.testing.assert_allclose(scaled_out.data, manual.data, atol=1e-12)
@@ -199,7 +199,7 @@ def test_attention_params_rejects_indivisible_heads():
         blocks.AttentionParams(10, 3, RngState(18))
 
 
-def looped_attention(params, q_in, kv_in, residual, q_pos=None, k_pos=None, scaled=True):
+def looped_attention(params, q_in, kv_in, residual, q_pos=None, k_pos=None):
     """Reference: one head at a time, with the float operations of batched attention in the same order."""
     q_in = q_in + q_pos if q_pos is not None else q_in
     k_in = kv_in + k_pos if k_pos is not None else kv_in
@@ -208,8 +208,7 @@ def looped_attention(params, q_in, kv_in, residual, q_pos=None, k_pos=None, scal
     for h in range(params.n_heads):
         cols = slice(h * params.head_dim, (h + 1) * params.head_dim)
         scores = np.ascontiguousarray(q_full[:, cols]) @ np.ascontiguousarray(k_full[:, cols].T)
-        if scaled:
-            scores = scores * (1.0 / math.sqrt(params.head_dim))
+        scores = scores * (1.0 / math.sqrt(params.head_dim))
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         outs.append((e / e.sum(axis=-1, keepdims=True)) @ np.ascontiguousarray(v_full[:, cols]))
     return residual + np.concatenate(outs, axis=1) @ params.w_z.data
@@ -219,11 +218,10 @@ def looped_attention(params, q_in, kv_in, residual, q_pos=None, k_pos=None, scal
 def test_batched_heads_equal_the_per_head_loop_bitwise(dim, n_heads, n_q, n_k):
     rng = np.random.default_rng(dim + n_q)
     q, kv, q_pos, k_pos = (rng.normal(size=(n, dim)) for n in (n_q, n_k, n_q, n_k))
-    for scaled in (True, False):
-        params = make_params(dim, n_heads, seed=n_k, scaled=scaled)
-        got = blocks.attention(params, Tensor(q), Tensor(kv), residual=Tensor(q),
-                               q_pos=Tensor(q_pos), k_pos=Tensor(k_pos))
-        np.testing.assert_array_equal(got.data, looped_attention(params, q, kv, q, q_pos, k_pos, scaled))
+    params = make_params(dim, n_heads, seed=n_k)
+    got = blocks.attention(params, Tensor(q), Tensor(kv), residual=Tensor(q),
+                           q_pos=Tensor(q_pos), k_pos=Tensor(k_pos))
+    np.testing.assert_array_equal(got.data, looped_attention(params, q, kv, q, q_pos, k_pos))
 
 
 def test_attention_tape_size_does_not_depend_on_head_count():
@@ -291,7 +289,7 @@ def test_attention_dropout_only_active_in_training():
 
 def test_single_token_self_attention_closed_form():
     # one position: the softmax weight is exactly 1, so x' = x + (x Wv) Wz
-    params = make_params(6, 2, seed=30, scaled=False)
+    params = make_params(6, 2, seed=30)
     x = np.random.default_rng(31).normal(size=(1, 6))
     out = blocks.self_attention(Tensor(x), params)
     want = x + (x @ params.w_v.data) @ params.w_z.data

@@ -135,6 +135,14 @@ USAGE_ERRORS = {
     "predict --seed": ["predict", "m.json", "--checkpoint", "c.ckpt", "--out", "p.jsonl", "--seed", "1"],
     "bench-attn --config": ["bench-attn", "--config", "run.cfg"],
     "non-integer seed": ["synth", "--out", "ds", "--seed", "one"],
+    "bench-attn zero length": ["bench-attn", "--lengths", "0,1"],
+    "bench-attn fractional length": ["bench-attn", "--lengths", "4,4.5"],
+    "gradcheck negative coords": ["gradcheck", "--coords", "-1"],
+    "gradcheck zero coords": ["gradcheck", "--coords", "0"],
+    "gradcheck zero tolerance": ["gradcheck", "--tolerance", "0"],
+    "gradcheck negative tolerance": ["gradcheck", "--tolerance", "-0.5"],
+    "gradcheck NaN tolerance": ["gradcheck", "--tolerance", "nan"],
+    "gradcheck infinite tolerance": ["gradcheck", "--tolerance", "inf"],
 }
 
 
