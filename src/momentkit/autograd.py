@@ -1,13 +1,20 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Every differentiable value in the library is a :class:`Tensor` wrapping a
-C-contiguous float64 numpy array. Operations build a tape (each output
-remembers its parents and a closure that pushes gradients to them);
-``backward`` walks the tape once in reverse topological order and consumes
-it: each node drops its closure and sets its parent links to ``None`` as soon
-as it has run, so an intermediate array is freed once the last node that reads
-it is done, and a second backward through any node of a consumed graph is an
-error.
+C-contiguous float64 numpy array. An op output that needs a gradient also
+gets a tape node, and the two are split: the ``Tensor`` is the handle the
+caller holds (its ``data`` and a link to its node), while the node holds the
+vertices its gradient flows to (parent nodes, or leaf tensors that require
+grad), the closure that pushes the gradient there, and the gradient slot.
+Each closure captures only the arrays, shapes and parent nodes its backward
+reads, never an operand ``Tensor``: an output that no backward reads (a
+residual sum, a product only ``relu`` consumes) is freed as soon as the
+caller drops its handle, and ``relu`` keeps a boolean mask rather than its
+input. ``backward`` walks the nodes once in reverse topological order and
+consumes them: each node drops its closure, gradient and parent links as soon
+as it has run, so an array a closure read is freed once the last node that
+reads it is done, and a second backward through any node of a consumed graph
+is an error.
 
 Design constraints:
   * first-order gradients only, single-threaded per graph
@@ -107,18 +114,38 @@ def _as_array(data) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-class Tensor:
-    """A float64 array plus the bookkeeping needed for reverse-mode autodiff."""
+class _Node:
+    """The tape vertex of one op output that needs a gradient.
 
-    # ``_parents`` is ``()`` for a leaf or constant and ``None`` once backward has consumed the node
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    ``_parents`` are the vertices the gradient flows to: nodes, or leaf
+    tensors that require grad. Backward sets all three slots to ``None`` once
+    the node has run; ``_parents is None`` marks a consumed node.
+    """
+
+    __slots__ = ("_parents", "_backward_fn", "grad")
+    requires_grad = True  # a node exists only where a gradient is needed
+
+    def __init__(self, parents: tuple, backward: Callable[[np.ndarray], None]):
+        self._parents: tuple | None = parents
+        self._backward_fn: Callable[[np.ndarray], None] | None = backward
+        self.grad: np.ndarray | None = None
+
+
+class Tensor:
+    """A float64 array, and for an op output that needs a gradient, the link to its tape node."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | None = None  # a leaf's gradient; an op output's lives on its node
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] | None = ()
-        self._backward_fn: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = None
+
+    @property
+    def _parents(self) -> tuple | None:
+        """The node's parents: ``()`` for a leaf or constant, ``None`` once backward has consumed the node."""
+        return () if self._node is None else self._node._parents
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -146,24 +173,38 @@ def _coerce(value) -> Tensor:
     return Tensor(value)
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable[[np.ndarray], None]) -> Tensor:
+def _vertex(t: Tensor) -> _Node | Tensor | None:
+    """Where ``t``'s gradient goes: its node, ``t`` itself for a leaf that requires grad, else ``None``."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
+def _make(data: np.ndarray, parents: tuple, backward: Callable[[np.ndarray], None]) -> Tensor:
+    """The op output ``data``, given a node when a tape runs and some parent needs a gradient.
+
+    ``parents`` are the operands' ``_vertex`` values, and ``backward`` closes
+    over those and the arrays it reads, never over an operand ``Tensor``.
+    """
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward_fn = backward
+    if _grad_enabled:
+        parents = tuple(p for p in parents if p is not None)
+        if parents:
+            out.requires_grad = True
+            out._node = _Node(parents, backward)
     return out
 
 
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accumulate(v: _Node | Tensor | None, grad: np.ndarray) -> None:
+    """Add ``grad`` into the vertex ``v``; a ``None`` vertex needs no gradient."""
+    if v is None:
         return
-    if t.grad is None:
+    if v.grad is None:
         # kept as given, so it may share memory with another tensor's gradient;
         # views that are not C-contiguous (transposes, broadcasts, splits) are copied
-        t.grad = grad if grad.flags.c_contiguous else grad.copy()
+        v.grad = grad if grad.flags.c_contiguous else grad.copy()
     else:
-        t.grad = t.grad + grad
+        v.grad = v.grad + grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -184,24 +225,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    data = a.data + b.data
+    va, vb, a_shape, b_shape = _vertex(a), _vertex(b), a.shape, b.shape
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(va, _unbroadcast(g, a_shape))
+        _accumulate(vb, _unbroadcast(g, b_shape))
 
-    return _make(data, (a, b), backward)
+    return _make(a.data + b.data, (va, vb), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    data = a.data * b.data
+    va, vb, a_data, b_data = _vertex(a), _vertex(b), a.data, b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        _accumulate(va, _unbroadcast(g * b_data, a_data.shape))
+        _accumulate(vb, _unbroadcast(g * a_data, b_data.shape))
 
-    return _make(data, (a, b), backward)
+    return _make(a_data * b_data, (va, vb), backward)
 
 
 def _product(a: Tensor, b: Tensor) -> np.ndarray:
@@ -218,13 +259,13 @@ def _product(a: Tensor, b: Tensor) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product of two 2-D operands."""
     a, b = _coerce(a), _coerce(b)
-    data = _product(a, b)
+    va, vb, a_data, b_data = _vertex(a), _vertex(b), a.data, b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(va, g @ b_data.T)
+        _accumulate(vb, a_data.T @ g)
 
-    return _make(data, (a, b), backward)
+    return _make(_product(a, b), (va, vb), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -238,32 +279,35 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear bias shape {b.shape} does not match weight shape {w.shape}")
     data = _product(x, w)
     data += b.data
+    vx, vw, vb, x_data, w_data, b_shape = _vertex(x), _vertex(w), _vertex(b), x.data, w.data, b.shape
 
     def backward(g):
-        _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.T @ g)
-        _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(vx, g @ w_data.T)
+        _accumulate(vw, x_data.T @ g)
+        _accumulate(vb, _unbroadcast(g, b_shape))
 
-    return _make(data, (x, w, b), backward)
+    return _make(data, (vx, vw, vb), backward)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     a = _coerce(a)
+    va, a_shape = _vertex(a), a.shape
 
     def backward(g):
-        _accumulate(a, g.reshape(a.shape))
+        _accumulate(va, g.reshape(a_shape))
 
-    return _make(a.data.reshape(shape), (a,), backward)
+    return _make(a.data.reshape(shape), (va,), backward)
 
 
 def sum_(a: Tensor) -> Tensor:
     """Sum of every element, as a one-element tensor of shape (1,)."""
     a = _coerce(a)
+    va, a_shape = _vertex(a), a.shape
 
     def backward(g):
-        _accumulate(a, np.broadcast_to(g, a.shape))
+        _accumulate(va, np.broadcast_to(g, a_shape))
 
-    return _make(a.data.sum(), (a,), backward)
+    return _make(a.data.sum(), (va,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +316,15 @@ def sum_(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(x, 0); the node keeps the 1-byte mask ``x > 0``, not ``x``."""
     a = _coerce(a)
-    data = np.maximum(a.data, 0.0)
+    va = _vertex(a)
+    positive = a.data > 0.0 if _grad_enabled and va is not None else None
 
     def backward(g):
-        _accumulate(a, g * (a.data > 0.0))
+        _accumulate(va, g * positive)
 
-    return _make(data, (a,), backward)
+    return _make(np.maximum(a.data, 0.0), (va,), backward)
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -289,23 +335,23 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     a = _coerce(a)
-    data = _logistic(a.data)
+    va, data = _vertex(a), _logistic(a.data)
 
     def backward(g):
-        _accumulate(a, g * data * (1.0 - data))
+        _accumulate(va, g * data * (1.0 - data))
 
-    return _make(data, (a,), backward)
+    return _make(data, (va,), backward)
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), evaluated stably."""
     a = _coerce(a)
-    data = np.logaddexp(0.0, a.data)
+    va, a_data = _vertex(a), a.data
 
     def backward(g):
-        _accumulate(a, g * _logistic(a.data))
+        _accumulate(va, g * _logistic(a_data))
 
-    return _make(data, (a,), backward)
+    return _make(np.logaddexp(0.0, a_data), (va,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +361,14 @@ def softplus(a: Tensor) -> Tensor:
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     a = _coerce(a)
-    data = a.data[start:stop].copy()
+    va, a_shape = _vertex(a), a.shape
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(a_shape)
         full[start:stop] = g
-        _accumulate(a, full)
+        _accumulate(va, full)
 
-    return _make(data, (a,), backward)
+    return _make(a.data[start:stop].copy(), (va,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -370,34 +416,35 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tenso
     _mac_count += 2 * n_q * n_k * dim
     head_dim = dim // n_heads
     heads = [slice(h * head_dim, (h + 1) * head_dim) for h in range(n_heads)]
+    vq, vk, vv, q_data, k_data, v_data = _vertex(q), _vertex(k), _vertex(v), q.data, k.data, v.data
 
     def k_t(cols: slice) -> np.ndarray:
         # k_h^T copied row-major: BLAS picks its kernel, and with it the
         # rounding, by operand layout; this one matches the per-head oracle
-        return np.ascontiguousarray(k.data[:, cols].T)
+        return np.ascontiguousarray(k_data[:, cols].T)
 
-    taped = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    taped = _grad_enabled and (vq is not None or vk is not None or vv is not None)
     weights = np.empty((n_heads if taped else 1, n_q, n_k))
     out = np.empty((n_q, dim))
     for h, cols in enumerate(heads):
         w = weights[h if taped else 0]
-        np.matmul(q.data[:, cols], k_t(cols), out=w)
+        np.matmul(q_data[:, cols], k_t(cols), out=w)
         w *= scale
         _softmax_(w)
-        np.matmul(w, v.data[:, cols], out=out[:, cols])
+        np.matmul(w, v_data[:, cols], out=out[:, cols])
 
     def backward(g):
-        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        gq, gk, gv = np.empty_like(q_data), np.empty_like(k_data), np.empty_like(v_data)
         for h, cols in enumerate(heads):
             np.matmul(weights[h].T, g[:, cols], out=gv[:, cols])
-            gs = _softmax_grad(g[:, cols] @ v.data[:, cols].T, weights[h], scale)
+            gs = _softmax_grad(g[:, cols] @ v_data[:, cols].T, weights[h], scale)
             np.matmul(gs, k_t(cols).T, out=gq[:, cols])
-            gk[:, cols] = (q.data[:, cols].T @ gs).T
-        _accumulate(q, gq)
-        _accumulate(k, gk)
-        _accumulate(v, gv)
+            gk[:, cols] = (q_data[:, cols].T @ gs).T
+        _accumulate(vq, gq)
+        _accumulate(vk, gk)
+        _accumulate(vv, gv)
 
-    return _make(out, (q, k, v), backward)
+    return _make(out, (vq, vk, vv), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -423,17 +470,18 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / dim + 1e-5)
     xhat = centred * inv
     data = xhat * gain.data + bias.data
+    va, v_gain, v_bias, gain_data = _vertex(a), _vertex(gain), _vertex(bias), gain.data
 
     def backward(g):
-        dxhat = g * gain.data
+        dxhat = g * gain_data
         mean_dxhat = dxhat.sum(axis=-1, keepdims=True) / dim
         mean_proj = (dxhat * xhat).sum(axis=-1, keepdims=True) / dim
         dx = inv * (dxhat - mean_dxhat - xhat * mean_proj)
-        _accumulate(a, dx)
-        _accumulate(gain, (g * xhat).reshape(-1, dim).sum(axis=0))
-        _accumulate(bias, g.reshape(-1, dim).sum(axis=0))
+        _accumulate(va, dx)
+        _accumulate(v_gain, (g * xhat).reshape(-1, dim).sum(axis=0))
+        _accumulate(v_bias, g.reshape(-1, dim).sum(axis=0))
 
-    return _make(data, (a, gain, bias), backward)
+    return _make(data, (va, v_gain, v_bias), backward)
 
 
 def _keep_mask(shape, rate: float, rng: RngState | None) -> np.ndarray | None:
@@ -466,11 +514,12 @@ def dropout(a: Tensor, rate: float, rng: RngState | None) -> Tensor:
     keep = _keep_mask(a.shape, rate, rng)
     if keep is None:
         return a
+    va = _vertex(a)
 
     def backward(g):
-        _accumulate(a, _masked(g, keep, rate))
+        _accumulate(va, _masked(g, keep, rate))
 
-    return _make(_masked(a.data, keep, rate), (a,), backward)
+    return _make(_masked(a.data, keep, rate), (va,), backward)
 
 
 def residual_dropout(residual: Tensor, a: Tensor, rate: float, rng: RngState | None) -> Tensor:
@@ -487,12 +536,13 @@ def residual_dropout(residual: Tensor, a: Tensor, rate: float, rng: RngState | N
         return add(residual, a)
     data = _masked(a.data, keep, rate)
     data += residual.data
+    v_residual, va = _vertex(residual), _vertex(a)
 
     def backward(g):
-        _accumulate(residual, g)
-        _accumulate(a, _masked(g, keep, rate))
+        _accumulate(v_residual, g)
+        _accumulate(va, _masked(g, keep, rate))
 
-    return _make(data, (residual, a), backward)
+    return _make(data, (v_residual, va), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +550,11 @@ def residual_dropout(residual: Tensor, a: Tensor, rate: float, rng: RngState | N
 # ---------------------------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _topo_order(root: Tensor) -> list[_Node | Tensor]:
+    """The vertices under ``root``, parents first; a leaf or constant root is its own one vertex."""
+    order: list[_Node | Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node | Tensor, bool]] = [(root if root._node is None else root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -516,8 +567,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if parent.requires_grad:
-                stack.append((parent, False))
+            stack.append((parent, False))
     return order
 
 
@@ -536,10 +586,10 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
-    _accumulate(loss, np.ones_like(loss.data))
+    _accumulate(_vertex(loss), np.ones_like(loss.data))
     while order:
         node = order.pop()
-        if node._backward_fn is None:
+        if isinstance(node, Tensor):  # a leaf keeps the gradient it was given
             continue
         if node.grad is not None:
             node._backward_fn(node.grad)

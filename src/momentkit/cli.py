@@ -334,8 +334,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ConfigError, CheckpointError, NumericError, ValueError, OSError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+    except (DataError, ConfigError, CheckpointError, NumericError, ValueError, OSError, MemoryError) as exc:
+        # numpy refuses an oversized array with a private MemoryError subclass; report the public name
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         return 1
 
 

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+from test_model import make_sample, small_config
 
 from momentkit import autograd as ag
 from momentkit.fdcheck import check_gradients
+from momentkit.losses import LossWeights, build_targets
+from momentkit.model import MomentModel
+from momentkit.train import sample_loss
 
 STEP = 1e-5
 TOL = 1e-6
@@ -418,9 +423,58 @@ def test_backward_frees_interior_arrays_while_the_loss_is_held():
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert built >= 16 * nbytes
+    # the chain holds the 8 ReLU outputs that ``mul`` reads and 8 one-byte ReLU masks
+    assert 8 * nbytes <= built < 10 * nbytes
     assert kept < 2 * nbytes, f"{kept} bytes still held after backward; x.grad is {nbytes}"
     assert x.grad.shape == x.shape
+
+
+def _captured(fn):
+    """Everything a backward closure reaches through its cells, nested closures and tuples included."""
+    stack = [cell.cell_contents for cell in fn.__closure__ or ()]
+    while stack:
+        obj = stack.pop()
+        yield obj
+        if isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+
+
+def test_an_output_no_backward_reads_is_freed_with_its_handle():
+    rng = np.random.default_rng(36)
+    x = ag.Tensor(rng.normal(size=(128, 128)), requires_grad=True)
+    c = rng.normal(size=(128, 128))
+    nbytes = x.data.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        h = x
+        for _ in range(8):
+            h = ag.add(h, c)
+        loss = ag.sum_(h)
+        del h
+        built = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert built < nbytes, f"{built} bytes held by 8 sums whose backward reads only shapes"
+    ag.backward(loss)
+    np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
+    # relu's node keeps the 1-byte mask of its input, not the float64 input
+    arrays = [o for o in _captured(ag.relu(x)._node._backward_fn) if isinstance(o, np.ndarray)]
+    assert [(a.dtype, a.shape) for a in arrays] == [(np.dtype(bool), x.shape)]
+
+
+def test_no_backward_closure_holds_an_op_output():
+    model = MomentModel(small_config(), seed=4)
+    sample = make_sample(seed=5)
+    targets = build_targets(sample.moments, sample.saliency, sample.n_clips)
+    loss, _ = sample_loss(model, sample, targets, LossWeights(), ag.RngState(11))
+    closures = [fn for fn in (getattr(v, "_backward_fn", None) for v in ag._topo_order(loss)) if fn is not None]
+    assert len(closures) > 100
+    for fn in closures:
+        held = [o for o in _captured(fn) if isinstance(o, ag.Tensor) and o._parents]
+        assert not held, f"{fn.__qualname__} holds {len(held)} op output tensor(s)"
 
 
 def test_gradients_accumulate_across_reuse():

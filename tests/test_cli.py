@@ -345,6 +345,30 @@ def test_bad_config_values_raise_typed_errors_and_exit_cleanly(line, tmp_path, c
     assert line.split(" = ")[0].split(".")[1] in doc["message"]
 
 
+# sizes whose first array is larger than any 64-bit address space (beyond 2**57 bytes),
+# so numpy refuses it before allocating anything, whatever the host's overcommit policy
+OVERSIZED = {
+    f"model.max_len = {10**16}": "train",
+    f"synth.n_clips = {10**16}": "synth",
+}
+
+
+@pytest.mark.parametrize("line", sorted(OVERSIZED))
+def test_an_oversized_request_is_one_memory_error_line(line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CONFIG)
+    code, out, _ = run(capsys, ["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")])
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    cfg.write_text(TINY_CONFIG + line + "\n")
+    argv = {"train": ["train", manifest], "synth": ["synth", "--out", str(tmp_path / "ds2")]}[OVERSIZED[line]]
+
+    code, out, err = run(capsys, argv + ["--config", str(cfg)])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == "MemoryError"
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_inputs_raise_typed_errors_and_exit_cleanly(case, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
