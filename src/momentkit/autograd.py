@@ -3,18 +3,18 @@
 Every differentiable value in the library is a :class:`Tensor` wrapping a
 C-contiguous float64 numpy array. An op output that needs a gradient also
 gets a tape node, and the two are split: the ``Tensor`` is the handle the
-caller holds (its ``data`` and a link to its node), while the node holds the
-vertices its gradient flows to (parent nodes, or leaf tensors that require
-grad), the closure that pushes the gradient there, and the gradient slot.
-Each closure captures only the arrays, shapes and parent nodes its backward
-reads, never an operand ``Tensor``: an output that no backward reads (a
-residual sum, a product only ``relu`` consumes) is freed as soon as the
-caller drops its handle, and ``relu`` keeps a boolean mask rather than its
-input. ``backward`` walks the nodes once in reverse topological order and
-consumes them: each node drops its closure, gradient and parent links as soon
-as it has run, so an array a closure read is freed once the last node that
-reads it is done, and a second backward through any node of a consumed graph
-is an error.
+caller holds (its ``data`` and a link to its node), while the node holds its
+operands' vertices (parent nodes, leaf tensors that require grad, or
+``None``), the op's backward closure and the gradient slot. A closure returns
+one gradient per operand and captures only the arrays, shapes and scalars it
+reads, never a node or a ``Tensor``: an output that no backward reads (a
+residual sum, a product only ``relu`` consumes) is freed as soon as the caller
+drops its handle, and ``relu`` keeps a boolean mask rather than its input.
+``backward`` walks the nodes once in reverse topological order, adds each
+returned gradient into its vertex and consumes the node, dropping its closure,
+gradient and inputs, so an array a closure read is freed once the last node
+that reads it is done, and a second backward through any node of a consumed
+graph is an error.
 
 Design constraints:
   * first-order gradients only, single-threaded per graph
@@ -117,18 +117,24 @@ def _as_array(data) -> np.ndarray:
 class _Node:
     """The tape vertex of one op output that needs a gradient.
 
-    ``_parents`` are the vertices the gradient flows to: nodes, or leaf
-    tensors that require grad. Backward sets all three slots to ``None`` once
-    the node has run; ``_parents is None`` marks a consumed node.
+    ``_inputs`` holds one vertex per operand, in operand order: a node, a leaf
+    tensor that requires grad, or ``None``. ``backward`` adds each gradient
+    ``_backward_fn`` returns into the matching input, then sets all three
+    slots to ``None``; ``_inputs is None`` marks a consumed node.
     """
 
-    __slots__ = ("_parents", "_backward_fn", "grad")
+    __slots__ = ("_inputs", "_backward_fn", "grad")
     requires_grad = True  # a node exists only where a gradient is needed
 
-    def __init__(self, parents: tuple, backward: Callable[[np.ndarray], None]):
-        self._parents: tuple | None = parents
-        self._backward_fn: Callable[[np.ndarray], None] | None = backward
+    def __init__(self, inputs: tuple, backward: Callable[[np.ndarray], tuple]):
+        self._inputs: tuple | None = inputs
+        self._backward_fn: Callable[[np.ndarray], tuple] | None = backward
         self.grad: np.ndarray | None = None
+
+    @property
+    def _parents(self) -> tuple | None:
+        """The vertices the gradient flows to, or ``None`` once backward has consumed the node."""
+        return None if self._inputs is None else tuple(v for v in self._inputs if v is not None)
 
 
 class Tensor:
@@ -180,24 +186,24 @@ def _vertex(t: Tensor) -> _Node | Tensor | None:
     return t if t.requires_grad else None
 
 
-def _make(data: np.ndarray, parents: tuple, backward: Callable[[np.ndarray], None]) -> Tensor:
-    """The op output ``data``, given a node when a tape runs and some parent needs a gradient.
+def _make(data: np.ndarray, operands: tuple, backward: Callable[[np.ndarray], tuple]) -> Tensor:
+    """The op output ``data``, given a node when a tape runs and some operand needs a gradient.
 
-    ``parents`` are the operands' ``_vertex`` values, and ``backward`` closes
-    over those and the arrays it reads, never over an operand ``Tensor``.
+    ``backward`` returns one gradient per operand (``None`` for one it skips)
+    and closes over the arrays it reads, never over a ``Tensor`` or a node.
     """
     out = Tensor(data)
     if _grad_enabled:
-        parents = tuple(p for p in parents if p is not None)
-        if parents:
+        inputs = tuple(_vertex(t) for t in operands)
+        if any(v is not None for v in inputs):
             out.requires_grad = True
-            out._node = _Node(parents, backward)
+            out._node = _Node(inputs, backward)
     return out
 
 
-def _accumulate(v: _Node | Tensor | None, grad: np.ndarray) -> None:
-    """Add ``grad`` into the vertex ``v``; a ``None`` vertex needs no gradient."""
-    if v is None:
+def _accumulate(v: _Node | Tensor | None, grad: np.ndarray | None) -> None:
+    """Add ``grad`` into the vertex ``v``; a ``None`` vertex or gradient adds nothing."""
+    if v is None or grad is None:
         return
     if v.grad is None:
         # kept as given, so it may share memory with another tensor's gradient;
@@ -225,24 +231,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    va, vb, a_shape, b_shape = _vertex(a), _vertex(b), a.shape, b.shape
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        _accumulate(va, _unbroadcast(g, a_shape))
-        _accumulate(vb, _unbroadcast(g, b_shape))
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-    return _make(a.data + b.data, (va, vb), backward)
+    return _make(a.data + b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    va, vb, a_data, b_data = _vertex(a), _vertex(b), a.data, b.data
+    a_data, b_data = a.data, b.data
 
     def backward(g):
-        _accumulate(va, _unbroadcast(g * b_data, a_data.shape))
-        _accumulate(vb, _unbroadcast(g * a_data, b_data.shape))
+        return _unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)
 
-    return _make(a_data * b_data, (va, vb), backward)
+    return _make(a_data * b_data, (a, b), backward)
 
 
 def _product(a: Tensor, b: Tensor) -> np.ndarray:
@@ -259,55 +263,52 @@ def _product(a: Tensor, b: Tensor) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product of two 2-D operands."""
     a, b = _coerce(a), _coerce(b)
-    va, vb, a_data, b_data = _vertex(a), _vertex(b), a.data, b.data
+    a_data, b_data = a.data, b.data
 
     def backward(g):
-        _accumulate(va, g @ b_data.T)
-        _accumulate(vb, a_data.T @ g)
+        return g @ b_data.T, a_data.T @ g
 
-    return _make(_product(a, b), (va, vb), backward)
+    return _make(_product(a, b), (a, b), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one node, the bias added into the product in place.
 
     Bitwise equal to ``add(matmul(x, w), b)`` in value and gradients, with the
-    same MAC count.
+    same MAC count. A constant ``x`` (a feature array) gets no ``g @ w.T``.
     """
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
     if b.shape != w.shape[1:]:
         raise ShapeError(f"linear bias shape {b.shape} does not match weight shape {w.shape}")
     data = _product(x, w)
     data += b.data
-    vx, vw, vb, x_data, w_data, b_shape = _vertex(x), _vertex(w), _vertex(b), x.data, w.data, b.shape
+    need_x, x_data, w_data, b_shape = x.requires_grad, x.data, w.data, b.shape
 
     def backward(g):
-        _accumulate(vx, g @ w_data.T)
-        _accumulate(vw, x_data.T @ g)
-        _accumulate(vb, _unbroadcast(g, b_shape))
+        return g @ w_data.T if need_x else None, x_data.T @ g, _unbroadcast(g, b_shape)
 
-    return _make(data, (vx, vw, vb), backward)
+    return _make(data, (x, w, b), backward)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     a = _coerce(a)
-    va, a_shape = _vertex(a), a.shape
+    a_shape = a.shape
 
     def backward(g):
-        _accumulate(va, g.reshape(a_shape))
+        return (g.reshape(a_shape),)
 
-    return _make(a.data.reshape(shape), (va,), backward)
+    return _make(a.data.reshape(shape), (a,), backward)
 
 
 def sum_(a: Tensor) -> Tensor:
     """Sum of every element, as a one-element tensor of shape (1,)."""
     a = _coerce(a)
-    va, a_shape = _vertex(a), a.shape
+    a_shape = a.shape
 
     def backward(g):
-        _accumulate(va, np.broadcast_to(g, a_shape))
+        return (np.broadcast_to(g, a_shape),)
 
-    return _make(a.data.sum(), (va,), backward)
+    return _make(a.data.sum(), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +319,12 @@ def sum_(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """max(x, 0); the node keeps the 1-byte mask ``x > 0``, not ``x``."""
     a = _coerce(a)
-    va = _vertex(a)
-    positive = a.data > 0.0 if _grad_enabled and va is not None else None
+    positive = a.data > 0.0 if _grad_enabled and a.requires_grad else None
 
     def backward(g):
-        _accumulate(va, g * positive)
+        return (g * positive,)
 
-    return _make(np.maximum(a.data, 0.0), (va,), backward)
+    return _make(np.maximum(a.data, 0.0), (a,), backward)
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -335,23 +335,23 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     a = _coerce(a)
-    va, data = _vertex(a), _logistic(a.data)
+    data = _logistic(a.data)
 
     def backward(g):
-        _accumulate(va, g * data * (1.0 - data))
+        return (g * data * (1.0 - data),)
 
-    return _make(data, (va,), backward)
+    return _make(data, (a,), backward)
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), evaluated stably."""
     a = _coerce(a)
-    va, a_data = _vertex(a), a.data
+    a_data = a.data
 
     def backward(g):
-        _accumulate(va, g * _logistic(a_data))
+        return (g * _logistic(a_data),)
 
-    return _make(np.logaddexp(0.0, a_data), (va,), backward)
+    return _make(np.logaddexp(0.0, a_data), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +361,14 @@ def softplus(a: Tensor) -> Tensor:
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     a = _coerce(a)
-    va, a_shape = _vertex(a), a.shape
+    a_shape = a.shape
 
     def backward(g):
         full = np.zeros(a_shape)
         full[start:stop] = g
-        _accumulate(va, full)
+        return (full,)
 
-    return _make(a.data[start:stop].copy(), (va,), backward)
+    return _make(a.data[start:stop].copy(), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +416,14 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tenso
     _mac_count += 2 * n_q * n_k * dim
     head_dim = dim // n_heads
     heads = [slice(h * head_dim, (h + 1) * head_dim) for h in range(n_heads)]
-    vq, vk, vv, q_data, k_data, v_data = _vertex(q), _vertex(k), _vertex(v), q.data, k.data, v.data
+    q_data, k_data, v_data = q.data, k.data, v.data
 
     def k_t(cols: slice) -> np.ndarray:
         # k_h^T copied row-major: BLAS picks its kernel, and with it the
         # rounding, by operand layout; this one matches the per-head oracle
         return np.ascontiguousarray(k_data[:, cols].T)
 
-    taped = _grad_enabled and (vq is not None or vk is not None or vv is not None)
+    taped = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     weights = np.empty((n_heads if taped else 1, n_q, n_k))
     out = np.empty((n_q, dim))
     for h, cols in enumerate(heads):
@@ -440,11 +440,9 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tenso
             gs = _softmax_grad(g[:, cols] @ v_data[:, cols].T, weights[h], scale)
             np.matmul(gs, k_t(cols).T, out=gq[:, cols])
             gk[:, cols] = (q_data[:, cols].T @ gs).T
-        _accumulate(vq, gq)
-        _accumulate(vk, gk)
-        _accumulate(vv, gv)
+        return gq, gk, gv
 
-    return _make(out, (vq, vk, vv), backward)
+    return _make(out, (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +468,16 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / dim + 1e-5)
     xhat = centred * inv
     data = xhat * gain.data + bias.data
-    va, v_gain, v_bias, gain_data = _vertex(a), _vertex(gain), _vertex(bias), gain.data
+    gain_data = gain.data
 
     def backward(g):
         dxhat = g * gain_data
         mean_dxhat = dxhat.sum(axis=-1, keepdims=True) / dim
         mean_proj = (dxhat * xhat).sum(axis=-1, keepdims=True) / dim
         dx = inv * (dxhat - mean_dxhat - xhat * mean_proj)
-        _accumulate(va, dx)
-        _accumulate(v_gain, (g * xhat).reshape(-1, dim).sum(axis=0))
-        _accumulate(v_bias, g.reshape(-1, dim).sum(axis=0))
+        return dx, (g * xhat).reshape(-1, dim).sum(axis=0), g.reshape(-1, dim).sum(axis=0)
 
-    return _make(data, (va, v_gain, v_bias), backward)
+    return _make(data, (a, gain, bias), backward)
 
 
 def _keep_mask(shape, rate: float, rng: RngState | None) -> np.ndarray | None:
@@ -514,12 +510,11 @@ def dropout(a: Tensor, rate: float, rng: RngState | None) -> Tensor:
     keep = _keep_mask(a.shape, rate, rng)
     if keep is None:
         return a
-    va = _vertex(a)
 
     def backward(g):
-        _accumulate(va, _masked(g, keep, rate))
+        return (_masked(g, keep, rate),)
 
-    return _make(_masked(a.data, keep, rate), (va,), backward)
+    return _make(_masked(a.data, keep, rate), (a,), backward)
 
 
 def residual_dropout(residual: Tensor, a: Tensor, rate: float, rng: RngState | None) -> Tensor:
@@ -536,13 +531,11 @@ def residual_dropout(residual: Tensor, a: Tensor, rate: float, rng: RngState | N
         return add(residual, a)
     data = _masked(a.data, keep, rate)
     data += residual.data
-    v_residual, va = _vertex(residual), _vertex(a)
 
     def backward(g):
-        _accumulate(v_residual, g)
-        _accumulate(va, _masked(g, keep, rate))
+        return g, _masked(g, keep, rate)
 
-    return _make(data, (v_residual, va), backward)
+    return _make(data, (residual, a), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +555,12 @@ def _topo_order(root: Tensor) -> list[_Node | Tensor]:
             continue
         if id(node) in seen:
             continue
-        if node._parents is None:
+        inputs = () if isinstance(node, Tensor) else node._inputs
+        if inputs is None:
             raise RuntimeError("backward already ran through part of this graph; rebuild it before calling again")
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            stack.append((parent, False))
+        stack.extend((v, False) for v in inputs if v is not None)
     return order
 
 
@@ -576,10 +569,11 @@ def backward(loss: Tensor) -> None:
 
     The root's own gradient of 1 is added like any other: a leaf root adds 1
     into its ``.grad`` and a root that needs no gradient makes the call a
-    no-op. Backward consumes the graph as it runs: once a node has pushed its
-    gradient to its parents, it drops that gradient, its closure and its
-    parent links, so each intermediate array is released when the last node
-    that reads it has run, even while the caller still holds the loss.
+    no-op. This loop is the one place a gradient is routed: each node's
+    closure returns its operands' gradients, and each is added into its input.
+    Backward consumes the graph as it runs: once a node has run, it drops its
+    gradient, closure and inputs, so each intermediate array is released when
+    the last node that reads it has run, even while the caller holds the loss.
     Running backward again through any node of a consumed graph is an error
     that changes no gradient; build a fresh graph instead.
     """
@@ -592,5 +586,6 @@ def backward(loss: Tensor) -> None:
         if isinstance(node, Tensor):  # a leaf keeps the gradient it was given
             continue
         if node.grad is not None:
-            node._backward_fn(node.grad)
-        node.grad = node._backward_fn = node._parents = None
+            for v, grad in zip(node._inputs, node._backward_fn(node.grad)):
+                _accumulate(v, grad)
+        node.grad = node._backward_fn = node._inputs = None

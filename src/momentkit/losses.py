@@ -23,16 +23,16 @@ on the order of 1e-7 rather than an infinity; a prediction outside the clamp
 gets zero gradient.
 
 Each loss, and the weighted total, is one tape node with a closed-form
-backward that, like every autograd op, captures the prediction's node and the
-arrays it reads, never the prediction ``Tensor``. Forward and backward run the
-same float expressions, in the same order, as the chain of elementwise ops the
-formula spells out (clamp, log, power, absolute value, row gather, sum,
-scale), so values and gradients are bitwise those of that chain.
+backward that, like every autograd op, returns its operands' gradients and
+captures only the arrays it reads, never a ``Tensor`` or a tape node. Forward
+and backward run the same float expressions, in the same order, as the chain
+of elementwise ops the formula spells out (clamp, log, power, absolute value,
+row gather, sum, scale), so values and gradients are bitwise those of that
+chain.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +118,9 @@ def _clamped(pred: Tensor) -> np.ndarray:
     return np.clip(pred.data, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def _through_clamp(node, x: np.ndarray, grad: np.ndarray) -> None:
-    """Pass ``grad`` to the prediction's ``node`` where the clamp let its value ``x`` through, zero elsewhere."""
-    ag._accumulate(node, grad * ((x >= PROB_CLAMP) & (x <= 1.0 - PROB_CLAMP)))
+def _through_clamp(x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray]:
+    """The prediction's gradient: ``grad`` where the clamp let its value ``x`` through, zero elsewhere."""
+    return (grad * ((x >= PROB_CLAMP) & (x <= 1.0 - PROB_CLAMP)),)
 
 
 def saliency_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -128,15 +128,15 @@ def saliency_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ShapeError(f"saliency pred shape {pred.shape} != target shape {target.shape}")
-    node, x, p = ag._vertex(pred), pred.data, _clamped(pred)
+    x, p = pred.data, _clamped(pred)
     scale = -1.0 / p.size
     per_clip = target * np.log(p) + (1.0 - target) * np.log(1.0 - p)
 
     def backward(g):
         g = g * scale
-        _through_clamp(node, x, (g * target) / p - (g * (1.0 - target)) / (1.0 - p))
+        return _through_clamp(x, (g * target) / p - (g * (1.0 - target)) / (1.0 - p))
 
-    return ag._make(per_clip.sum() * scale, (node,), backward)
+    return ag._make(per_clip.sum() * scale, (pred,), backward)
 
 
 def focal_center_loss(pred: Tensor, target: np.ndarray, n_moments: int) -> Tensor:
@@ -144,17 +144,17 @@ def focal_center_loss(pred: Tensor, target: np.ndarray, n_moments: int) -> Tenso
 
     Coordinates where the target is exactly 1 are positives; everywhere else
     the penalty on the prediction is scaled by (1 - H)^GAMMA so clips right
-    next to a peak are barely punished.
+    next to a peak are barely punished. Without moments (a highlight-only
+    sample) the loss is a constant 0, as the regression losses are.
     """
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ShapeError(f"heatmap pred shape {pred.shape} != target shape {target.shape}")
     if n_moments == 0:
-        warnings.warn("focal_center_loss on a sample with no moments; returning 0", stacklevel=2)
         return Tensor(0.0)
     pos_mask = (target == 1.0).astype(np.float64)
     neg_weight = ((1.0 - target) ** GAMMA) * (1.0 - pos_mask)
-    node, x, p = ag._vertex(pred), pred.data, _clamped(pred)
+    x, p = pred.data, _clamped(pred)
     q = 1.0 - p
     log_p, log_q = np.log(p), np.log(q)
     q_alpha, p_alpha = q**ALPHA, p**ALPHA
@@ -166,24 +166,24 @@ def focal_center_loss(pred: Tensor, target: np.ndarray, n_moments: int) -> Tenso
         g_pos, g_neg = g * pos_mask, g * neg_weight
         # positives and negatives never share a coordinate: at most two of the four terms are
         # nonzero at each, so the order they are summed in cannot change a bit
-        _through_clamp(node, x, (g_pos * q_alpha) / p - g_pos * log_p * ALPHA * q ** (ALPHA - 1.0)
-                       + g_neg * log_q * ALPHA * p ** (ALPHA - 1.0) - (g_neg * p_alpha) / q)
+        return _through_clamp(x, (g_pos * q_alpha) / p - g_pos * log_p * ALPHA * q ** (ALPHA - 1.0)
+                              + g_neg * log_q * ALPHA * p ** (ALPHA - 1.0) - (g_neg * p_alpha) / q)
 
-    return ag._make(per_clip.sum() * scale, (node,), backward)
+    return ag._make(per_clip.sum() * scale, (pred,), backward)
 
 
 def _mean_abs_error_at(pred: Tensor, idx: np.ndarray, target: np.ndarray) -> Tensor:
     """Mean |pred[idx] - target|; an index listed twice gets both gradients."""
-    node, shape = ag._vertex(pred), pred.shape
+    shape = pred.shape
     err = pred.data[idx] - target
     scale = 1.0 / err.size
 
     def backward(g):
         full = np.zeros(shape)
         np.add.at(full, idx, (g * scale) * np.sign(err))
-        ag._accumulate(node, full)
+        return (full,)
 
-    return ag._make(np.abs(err).sum() * scale, (node,), backward)
+    return ag._make(np.abs(err).sum() * scale, (pred,), backward)
 
 
 def regression_losses(pred_window: Tensor, pred_offset: Tensor, targets: TargetSet) -> tuple[Tensor, Tensor]:
@@ -197,12 +197,10 @@ def regression_losses(pred_window: Tensor, pred_offset: Tensor, targets: TargetS
 
 def total_loss(l_s: Tensor, l_c: Tensor, l_w: Tensor, l_o: Tensor, weights: LossWeights | None = None) -> Tensor:
     weights = weights or LossWeights()
-    nodes = tuple(ag._vertex(t) for t in (l_s, l_c, l_w, l_o))
     scales = (weights.saliency, weights.center, weights.window, weights.offset)
     data = (l_s.data * scales[0] + l_c.data * scales[1]) + (l_w.data * scales[2] + l_o.data * scales[3])
 
     def backward(g):
-        for node, s in zip(nodes, scales):
-            ag._accumulate(node, g * s)
+        return tuple(g * s for s in scales)
 
-    return ag._make(data, nodes, backward)
+    return ag._make(data, (l_s, l_c, l_w, l_o), backward)

@@ -233,6 +233,17 @@ def test_linear_is_bitwise_the_sum_of_matmul_and_bias():
         ag.linear(ag.Tensor(arrays[0]), ag.Tensor(arrays[1]), ag.Tensor(np.zeros(5)))
 
 
+def test_linear_skips_the_gradient_of_a_constant_input():
+    rng = np.random.default_rng(37)
+    x, g = rng.normal(size=(9, 5)), rng.normal(size=(9, 4))
+    w, b = ag.Tensor(rng.normal(size=(5, 4)), requires_grad=True), ag.Tensor(rng.normal(size=4), requires_grad=True)
+    out = ag.linear(ag.Tensor(x), w, b)
+    assert out._node._backward_fn(g)[0] is None
+    ag.backward(ag.sum_(ag.mul(out, g)))
+    assert w.grad.tobytes() == (x.T @ g).tobytes()
+    assert b.grad.tobytes() == g.sum(0).tobytes()
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3])
 @pytest.mark.parametrize("seed", [None, 7])
 def test_residual_dropout_is_bitwise_add_of_dropout(rate, seed):
@@ -466,6 +477,7 @@ def test_an_output_no_backward_reads_is_freed_with_its_handle():
 
 
 def test_no_backward_closure_holds_an_op_output():
+    """Closures hold arrays, shapes and scalars only: no tape node and no tensor, parameters included."""
     model = MomentModel(small_config(), seed=4)
     sample = make_sample(seed=5)
     targets = build_targets(sample.moments, sample.saliency, sample.n_clips)
@@ -473,8 +485,8 @@ def test_no_backward_closure_holds_an_op_output():
     closures = [fn for fn in (getattr(v, "_backward_fn", None) for v in ag._topo_order(loss)) if fn is not None]
     assert len(closures) > 100
     for fn in closures:
-        held = [o for o in _captured(fn) if isinstance(o, ag.Tensor) and o._parents]
-        assert not held, f"{fn.__qualname__} holds {len(held)} op output tensor(s)"
+        held = [o for o in _captured(fn) if isinstance(o, (ag.Tensor, ag._Node))]
+        assert not held, f"{fn.__qualname__} holds {len(held)} tensor(s) or tape node(s)"
 
 
 def test_gradients_accumulate_across_reuse():

@@ -75,6 +75,18 @@ def test_full_workflow(tmp_path, capsys):
     assert len(records) == 3 and len(records[0].saliency) == 8
 
 
+def test_highlight_only_training_on_a_corpus_without_moments_is_silent(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CONFIG.replace("synth.max_moments = 1", "synth.min_moments = 0\nsynth.max_moments = 0")
+                   + "train.tasks = hd\n")
+    code, out, _ = run(capsys, ["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")])
+    assert code == 0
+    code, out, err = run(capsys, ["train", json.loads(out)["manifest"], "--config", str(cfg),
+                                  "--out", str(tmp_path / "ck")])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["epochs"] == 2
+
+
 def test_seed_override_changes_the_dataset(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TINY_CONFIG)

@@ -150,10 +150,9 @@ def test_focal_matches_direct_summation_oracle():
         assert abs(got - want) < 1e-12
 
 
-def test_focal_no_moments_warns_and_returns_zero():
-    with pytest.warns(UserWarning):
-        out = L.focal_center_loss(Tensor(np.full(4, 0.3)), np.zeros(4), n_moments=0)
-    assert out.item() == 0.0
+def test_focal_no_moments_returns_zero():
+    out = L.focal_center_loss(Tensor(np.full(4, 0.3), requires_grad=True), np.zeros(4), n_moments=0)
+    assert out.item() == 0.0 and not out.requires_grad
 
 
 def test_regression_hand_values_and_center_only_sampling():

@@ -1,8 +1,10 @@
 """Training loop, optimizer, evaluation, and prediction plumbing."""
 
+import ctypes
 import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,16 +140,64 @@ def test_same_seed_gives_identical_runs(tmp_path):
     assert r3.loss_history != r1.loss_history
 
 
-# sha256 of the checkpoint that test_checkpoint_bytes_are_pinned trains; a change
-# that moves checkpoint bytes updates it and records the move in CHANGES.md
-PINNED_CHECKPOINT_SHA256 = "d926c9559271079e7c0d1f3772ca76cd8b399f5da90d95014e40531777f89cee"
+# sha256 of the checkpoint that test_checkpoint_bytes_are_pinned trains, by the OpenBLAS kernel
+# numpy runs: kernels of different SIMD widths sum a product's inner dimension in different
+# orders, so the last bits of every gradient, and the bytes, follow the kernel. A change that
+# moves checkpoint bytes updates every row (each kernel can be forced with OPENBLAS_CORETYPE)
+# and records the move in CHANGES.md
+PINNED_CHECKPOINT_SHA256 = {
+    "SkylakeX": "d926c9559271079e7c0d1f3772ca76cd8b399f5da90d95014e40531777f89cee",
+    "Haswell": "2680281770345d43cefabf6c483ae153a88056113a49c2917bc1c1135dfc8942",
+    "Sandybridge": "e2678d6399fd30fb751c27a61d8cc8066a048780f8f8760b5974cf7c4f73247c",
+    "Nehalem": "9cf4510a83f17380a1677bf4f9fe34bc2ab2654c6c832fbe070e050c3d68bb0e",
+    "Katmai": "23be14719a48e8cf946306cb39a526c91dab810514f6d5b8067a403e84567abf",  # OPENBLAS_CORETYPE=Prescott
+}
+
+
+def blas_kernel() -> str | None:
+    """The kernel numpy's bundled OpenBLAS picked at run time, or ``None`` when it cannot be read."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
     """Two epochs with dropout and batches of two: the final checkpoint's bytes do not move."""
     model = make_model(seed=3)
     train(model, tiny_dataset(n=4, seed=2), TrainConfig(epochs=2, batch_size=2, seed=1), tmp_path)
-    assert hashlib.sha256((tmp_path / "final.ckpt").read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
+    digest = hashlib.sha256((tmp_path / "final.ckpt").read_bytes()).hexdigest()
+    kernel = blas_kernel()
+    assert kernel in PINNED_CHECKPOINT_SHA256, f"no pin for BLAS kernel {kernel!r}; this run gave {digest}"
+    assert digest == PINNED_CHECKPOINT_SHA256[kernel], f"BLAS kernel {kernel}"
+
+
+@pytest.mark.parametrize("layers, n_params", [((1, 1, 1), 119), ((2, 2, 3), 223)])
+def test_each_parameter_receives_one_gradient_per_sample_backward(layers, n_params, monkeypatch):
+    """So a step's gradient is the left fold of independent per-sample gradients."""
+    uni, cross, decoder = layers
+    model = MomentModel(ModelConfig(model_dim=32, heads=4, n_bottleneck=4, max_len=64, uni_layers=uni,
+                                    cross_layers=cross, decoder_layers=decoder), seed=0)
+    sample = synthesize_dataset(SynthConfig(n_videos=1, n_clips=16, min_moments=2, seed=21))[0]
+    params = dict(model.named_parameters())
+    names = {id(p): n for n, p in params.items()}
+    received = dict.fromkeys(params, 0)
+    accumulate = ag._accumulate
+
+    def counting(v, grad):
+        if id(v) in names and grad is not None:
+            received[names[id(v)]] += 1
+        accumulate(v, grad)
+
+    monkeypatch.setattr(ag, "_accumulate", counting)
+    loss, _ = sample_loss(model, sample, build_targets(sample.moments, sample.saliency, sample.n_clips),
+                          LossWeights(), RngState(1))
+    ag.backward(loss)
+    assert len(params) == n_params
+    assert {n: c for n, c in received.items() if c != 1} == {}
 
 
 def test_a_step_equals_one_backward_through_the_summed_batch_graph():
