@@ -11,6 +11,10 @@ rest must name one of its fields, whichever command reads the file::
     loss.saliency = 3.0
     eval.tasks = both
 
+Each value is type-checked against its field (a float by ``data.is_number``),
+then its section's dataclass checks the ranges; ``--seed`` overrides
+``synth.seed`` and ``train.seed``.
+
 Commands print a JSON summary to stdout and exit 0; failures print one
 machine-parsable JSON error line to stderr and exit nonzero (2 for a usage
 error, 1 otherwise).
@@ -27,9 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import NumericError
 from .bench import scaling_report
 from .data import (
+    MODALITIES,
     DataError,
     FeatureSequence,
     MomentAnnotation,
@@ -43,8 +47,6 @@ from .fdcheck import check_gradients
 from .losses import LossWeights, build_targets
 from .metrics import TASKS
 from .model import (
-    CheckpointError,
-    ConfigError,
     ModelConfig,
     MomentModel,
     check_field_types,
@@ -59,6 +61,12 @@ class EvalConfig:
 
     tasks: str = "both"
     top_k: int = 10
+
+    def validate(self) -> None:
+        if self.tasks not in TASKS:
+            raise DataError(f"eval.tasks must be one of {TASKS}, got {json.dumps(self.tasks)}")
+        if self.top_k < 1:
+            raise DataError(f"eval.top_k must be a positive int, got {self.top_k}")
 
 
 SECTIONS = {"synth": SynthConfig, "model": ModelConfig, "train": TrainConfig, "loss": LossWeights, "eval": EvalConfig}
@@ -96,9 +104,11 @@ def section(doc: dict[str, object], prefix: str) -> dict[str, object]:
     return {k[len(prefix) + 1:]: v for k, v in doc.items() if k.startswith(prefix + ".")}
 
 
-def _build(prefix: str, fields: dict[str, object]):
-    cfg = SECTIONS[prefix](**fields)
+def _build(doc: dict[str, object], prefix: str, **defaults):
+    """Section ``prefix`` of ``doc`` as its dataclass over ``defaults``: every value type-checked, then validated."""
+    cfg = SECTIONS[prefix](**{**defaults, **section(doc, prefix)})
     check_field_types(cfg, prefix, DataError)
+    cfg.validate()
     return cfg
 
 
@@ -109,41 +119,21 @@ def _load_config(args) -> dict[str, object]:
         prefix, _, name = key.partition(".")
         if prefix not in SECTIONS or name not in {f.name for f in dataclasses.fields(SECTIONS[prefix])}:
             raise DataError(f"unknown config key {key!r}")
+    if getattr(args, "seed", None) is not None:  # --seed overrides the configured seed
+        doc["synth.seed"] = doc["train.seed"] = args.seed
     return doc
-
-
-def _eval_config(doc: dict[str, object]) -> EvalConfig:
-    cfg = _build("eval", section(doc, "eval"))
-    if cfg.tasks not in TASKS:
-        raise DataError(f"eval.tasks must be one of {TASKS}, got {json.dumps(cfg.tasks)}")
-    if cfg.top_k < 1:
-        raise DataError(f"eval.top_k must be a positive int, got {cfg.top_k}")
-    return cfg
 
 
 def _model_config(doc: dict[str, object], samples) -> ModelConfig:
     """model.* settings; modality switches and feature dims default from the data."""
-    fields = section(doc, "model")
+    fields = {}
     if samples:
-        first = samples[0]
-        for mod in ("visual", "audio", "text"):
-            seq = getattr(first, mod)
-            fields.setdefault(f"use_{mod}", seq is not None)
+        for mod in MODALITIES:
+            seq = getattr(samples[0], mod)
+            fields[f"use_{mod}"] = seq is not None
             if seq is not None:
-                fields.setdefault(f"{mod}_dim", seq.dim)
-    return _build("model", fields)
-
-
-def _train_config(doc: dict[str, object], seed: int | None) -> TrainConfig:
-    fields = section(doc, "train")
-    loss_fields = section(doc, "loss")
-    if loss_fields:
-        fields["weights"] = _build("loss", loss_fields)
-    if seed is not None:
-        fields["seed"] = seed
-    cfg = _build("train", fields)
-    cfg.validate()
-    return cfg
+                fields[f"{mod}_dim"] = seq.dim
+    return _build(doc, "model", **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +141,7 @@ def _train_config(doc: dict[str, object], seed: int | None) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    doc = _load_config(args)
-    fields = section(doc, "synth")
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    cfg = _build("synth", fields)
-    samples = synthesize_dataset(cfg)
+    samples = synthesize_dataset(_build(_load_config(args), "synth"))
     manifest = save_dataset(args.out, samples)
     print(json.dumps({"videos": len(samples), "manifest": str(manifest)}))
     return 0
@@ -164,7 +149,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     doc = _load_config(args)
-    train_cfg = _train_config(doc, args.seed)
+    train_cfg = _build(doc, "train", weights=_build(doc, "loss"))
     samples = load_dataset(args.data)
     model_cfg = _model_config(doc, samples)
     model = MomentModel(model_cfg, seed=train_cfg.seed)
@@ -179,7 +164,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _eval_config(_load_config(args))
+    cfg = _build(_load_config(args), "eval")
     samples = load_dataset(args.data)
     model, _ = load_checkpoint(args.checkpoint)
     report = evaluate(model, samples, tasks=args.tasks or cfg.tasks, top_k=cfg.top_k)
@@ -191,7 +176,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _eval_config(_load_config(args))
+    cfg = _build(_load_config(args), "eval")
     samples = load_dataset(args.data)
     model, _ = load_checkpoint(args.checkpoint)
     records = predict(model, samples, args.out, top_k=cfg.top_k)
@@ -200,9 +185,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    doc = _load_config(args)
-    fields = {**GRADCHECK_DEFAULTS, **section(doc, "model")}
-    cfg = _build("model", fields)
+    cfg = _build(_load_config(args), "model", **GRADCHECK_DEFAULTS)
     seed = args.seed if args.seed is not None else 0
     model = MomentModel(cfg, seed=seed)
     rng = np.random.default_rng(seed)
@@ -274,6 +257,13 @@ def _lengths(text: str) -> tuple[int, ...]:
     return tuple(map(_positive(int), text.split(",")))
 
 
+def _seed(text: str) -> int:
+    """An argparse ``type`` for ``--seed``: a non-negative int, since numpy takes no negative seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
+    return int(text)
+
+
 class UsageParser(argparse.ArgumentParser):
     """An argument parser whose usage errors are one JSON line on stderr and exit status 2."""
 
@@ -292,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, out_help, out_required=False, seed=True):
         p.add_argument("--config", help="keyed text configuration file")
         if seed:
-            p.add_argument("--seed", type=int, default=None, help="override the configured seed")
+            p.add_argument("--seed", type=_seed, default=None, help="override the configured seed")
         p.add_argument("--out", required=out_required, help=out_help)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -334,7 +324,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ConfigError, CheckpointError, NumericError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # the package's typed errors are all ValueErrors
         # numpy refuses an oversized array with a private MemoryError subclass; report the public name
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)

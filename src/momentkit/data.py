@@ -35,6 +35,7 @@ MANIFEST_VERSION = 1
 _HEADER = struct.Struct("<II")
 
 MODALITIES = ("visual", "audio", "text")
+MAX_DIM = int(np.iinfo(np.intp).max)  # the largest numpy array dimension
 
 
 class DataError(ValueError):
@@ -201,18 +202,28 @@ def save_dataset(root: str | Path, samples: list[VideoSample]) -> Path:
     return path
 
 
-def _number(value: object, where: str) -> float:
-    """``value`` as a float when it is a JSON number; booleans, numeric strings and ints beyond float range are not."""
+def is_number(value: object) -> bool:
+    """The one number rule of manifests, configs and headers: a JSON number within float range, never a boolean."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataError(f"{where} must be a number, got {json.dumps(value)}")
+        return False
     try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _number(value: object, where: str) -> float:
+    """``value`` as a float when it is a JSON number by ``is_number``; anything else raises a ``DataError``."""
+    if is_number(value):
         return float(value)
-    except OverflowError as exc:
-        raise DataError(f"{where} must be a number within float range, got {len(str(value))} digits") from exc
+    if isinstance(value, int) and not isinstance(value, bool):
+        raise DataError(f"{where} must be a number within float range, got {len(str(value))} digits")
+    raise DataError(f"{where} must be a number, got {json.dumps(value)}")
 
 
 def _numbers(values: object, where: str) -> np.ndarray:
-    """``values`` as a float64 array when it is a JSON list of numbers, each value typed as ``_number`` types it.
+    """``values`` as a float64 array when it is a JSON list of numbers, each value typed by ``is_number``.
 
     A list of plain ints and floats converts in one call; anything else goes
     value by value, so the error names the first value that is not a number.
@@ -323,12 +334,21 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n_clips < 2:
             raise DataError(f"n_clips must be at least 2, got {self.n_clips}")
+        for name in ("n_clips", "visual_dim", "audio_dim", "text_dim", "n_text_tokens"):
+            if not 1 <= getattr(self, name) <= MAX_DIM:
+                raise DataError(f"{name} must lie in [1, {MAX_DIM}]")
         if self.n_videos < 1:
             raise DataError(f"n_videos must be at least 1, got {self.n_videos}")
         if self.min_moments < 0 or self.max_moments < self.min_moments:
             raise DataError(f"bad moments range [{self.min_moments}, {self.max_moments}]")
+        widest = min(self.max_width_clips, self.n_clips - 3)  # the widest span _place_moments draws
+        if self.max_moments >= 1 and not 0 < self.min_width_clips <= widest:  # written so that NaN fails
+            raise DataError(f"min_width_clips must lie in (0, min(max_width_clips, n_clips - 3) = {widest}], "
+                            f"got {self.min_width_clips}")
         if self.snr < 0:
             raise DataError(f"snr must be nonnegative, got {self.snr}")
+        if self.seed < 0:
+            raise DataError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

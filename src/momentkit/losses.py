@@ -40,6 +40,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import ShapeError, Tensor
 from .data import DataError, MomentAnnotation
+from .model import ConfigError
 
 PROB_CLAMP = 1e-7
 ALPHA = 2.0  # focal exponent on the prediction
@@ -56,6 +57,11 @@ class LossWeights:
     center: float = 1.0     # lambda_c
     window: float = 0.1     # lambda_w
     offset: float = 1.0     # lambda_o
+
+    def validate(self) -> None:
+        for name in ("saliency", "center", "window", "offset"):
+            if not 0.0 <= getattr(self, name) < np.inf:  # written so that NaN fails
+                raise ConfigError(f"loss weight {name} must be finite and nonnegative, got {getattr(self, name)}")
 
 
 @dataclass

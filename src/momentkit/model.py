@@ -58,7 +58,7 @@ from .blocks import (
     expand,
     self_attention,
 )
-from .data import VideoSample
+from .data import MAX_DIM, VideoSample, is_number
 
 
 class ConfigError(ValueError):
@@ -70,13 +70,13 @@ class CheckpointError(ValueError):
 
 
 def fits(value: object, hint) -> bool:
-    """Whether ``value`` has the declared type ``hint``; ints pass for floats, booleans are not numbers."""
+    """Whether ``value`` has the declared type ``hint``; a float field takes any value ``data.is_number`` accepts."""
     if isinstance(hint, types.UnionType):
         return any(fits(value, h) for h in typing.get_args(hint))
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, (int, float))
+        return is_number(value)
     return isinstance(value, hint)
 
 
@@ -92,8 +92,6 @@ def check_field_types(cfg, label: str, error: type[Exception]) -> None:
         if not fits(value, hint):
             raise error(f"{label}.{f.name} must be {getattr(hint, '__name__', hint)}, got {json.dumps(value)}")
 
-
-_MAX_SIZE = int(np.iinfo(np.intp).max)  # the largest numpy array dimension
 
 # retired topology switches that version-1 headers still carry, each with the one value that loads
 _RETIRED = {"scaled_attention": True, "positive_window": True, "fusion": "sum", "share_cross_weights": False}
@@ -124,8 +122,8 @@ class ModelConfig:
             raise ConfigError("at least one of use_visual/use_audio must be enabled")
         for name in ("model_dim", "heads", "uni_layers", "cross_layers", "decoder_layers", "query_layers",
                      "n_bottleneck", "max_len", "visual_dim", "audio_dim", "text_dim"):
-            if not 1 <= getattr(self, name) <= _MAX_SIZE:
-                raise ConfigError(f"{name} must lie in [1, {_MAX_SIZE}]")
+            if not 1 <= getattr(self, name) <= MAX_DIM:
+                raise ConfigError(f"{name} must lie in [1, {MAX_DIM}]")
         if self.model_dim % self.heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by heads {self.heads}")
         for name in ("dropout", "pre_dropout_av", "pre_dropout_text"):

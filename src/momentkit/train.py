@@ -67,12 +67,11 @@ class TrainConfig:
         for name in ("learning_rate", "weight_decay"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
-        for name in ("saliency", "center", "window", "offset"):
-            weight = getattr(self.weights, name)
-            if not 0.0 <= weight < math.inf:
-                raise ConfigError(f"loss weight {name} must be finite and nonnegative, got {weight}")
+        self.weights.validate()
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be positive when set, got {self.clip_norm}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     def task_weights(self) -> LossWeights:
         """Loss weights with the inactive task's terms zeroed out."""
@@ -257,6 +256,8 @@ def evaluate(model: MomentModel, samples: list[VideoSample], tasks: str = "both"
         for s in samples:
             if s.saliency is None:
                 raise DataError(f"{s.video_id}: highlight evaluation needs saliency annotations")
+        if not any(s.positive_flags().any() for s in samples):
+            raise DataError("highlight evaluation needs at least one positive clip")
     records = predict(model, samples, top_k=top_k)
     return build_report(
         [r.moments for r in records],

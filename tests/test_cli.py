@@ -3,10 +3,11 @@
 import argparse
 import json
 import struct
+import typing
 
 import pytest
 
-from momentkit.cli import build_parser, main, parse_config_file, section
+from momentkit.cli import SECTIONS, build_parser, main, parse_config_file, section
 from momentkit.data import DataError, load_dataset
 from momentkit.decode import read_predictions
 from momentkit.model import (
@@ -87,6 +88,18 @@ def test_highlight_only_training_on_a_corpus_without_moments_is_silent(tmp_path,
     assert json.loads(out)["epochs"] == 2
 
 
+def test_highlight_evaluation_without_a_positive_clip_is_a_data_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CONFIG.replace("synth.max_moments = 1", "synth.min_moments = 0\nsynth.max_moments = 0"))
+    code, out, _ = run(capsys, ["synth", "--config", str(cfg), "--out", str(tmp_path / "ds")])
+    assert code == 0
+    _tiny_checkpoint(tmp_path / "model.ckpt")
+    code, out, err = run(capsys, ["eval", json.loads(out)["manifest"], "--checkpoint", str(tmp_path / "model.ckpt"),
+                                  "--tasks", "hd"])
+    assert (code, out) == (1, "") and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "DataError", "message": "highlight evaluation needs at least one positive clip"}
+
+
 def test_seed_override_changes_the_dataset(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TINY_CONFIG)
@@ -155,6 +168,9 @@ USAGE_ERRORS = {
     "gradcheck negative tolerance": ["gradcheck", "--tolerance", "-0.5"],
     "gradcheck NaN tolerance": ["gradcheck", "--tolerance", "nan"],
     "gradcheck infinite tolerance": ["gradcheck", "--tolerance", "inf"],
+    "synth negative seed": ["synth", "--out", "ds", "--seed", "-1"],
+    "train negative seed": ["train", "m.json", "--seed", "-1"],
+    "gradcheck negative seed": ["gradcheck", "--seed", "-1"],
 }
 
 
@@ -243,6 +259,8 @@ MALFORMED = {
     "checkpoint config visual_dim 10**400": (
         _rewrite_checkpoint_header, _set("config", "visual_dim", value=10**400), ConfigError),
     "checkpoint config dropout 1.5": (_rewrite_checkpoint_header, _set("config", "dropout", value=1.5), ConfigError),
+    "checkpoint config dropout 10**400": (
+        _rewrite_checkpoint_header, _set("config", "dropout", value=10**400), CheckpointError),
     "checkpoint config heads 0": (_rewrite_checkpoint_header, _set("config", "heads", value=0), ConfigError),
     "checkpoint config heads true": (_rewrite_checkpoint_header, _set("config", "heads", value=True), CheckpointError),
     "checkpoint config n_bottleneck 2.5": (
@@ -321,7 +339,23 @@ BAD_CONFIG_LINES = {
     "loss.alpha = 2.0": ("train", DataError),
     "model.hedas = 4": ("predict", DataError),
     "synth.n_vidoes = 3": ("train", DataError),
+    "synth.visual_dim = 0": ("synth", DataError),
+    "synth.text_dim = 0": ("synth", DataError),
+    f"synth.visual_dim = {10**400}": ("synth", DataError),
+    f"synth.n_clips = {10**400}": ("synth", DataError),
+    f"synth.n_text_tokens = {10**400}": ("synth", DataError),
+    "synth.min_width_clips = 9.0": ("synth", DataError),
+    "synth.n_clips = 3": ("synth", DataError),
+    "synth.seed = -1": ("synth", DataError),
+    "train.seed = -1": ("train", ConfigError),
 }
+# every float field given an int beyond float range, the one number rule of manifests too
+BAD_CONFIG_LINES.update({
+    f"{prefix}.{name} = {10**400}": ({"synth": "synth", "eval": "eval"}.get(prefix, "train"), DataError)
+    for prefix, cls in SECTIONS.items()
+    for name, hint in typing.get_type_hints(cls).items()
+    if float in (hint, *typing.get_args(hint))
+})
 
 
 def _tiny_checkpoint(path):

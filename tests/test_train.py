@@ -338,6 +338,14 @@ def test_evaluate_requires_matching_annotations():
     ]
     with pytest.raises(DataError, match="saliency"):
         evaluate(make_model(), no_saliency, tasks="hd")
+    no_positives = [
+        VideoSample(video_id=s.video_id, clip_seconds=s.clip_seconds, visual=s.visual,
+                    audio=s.audio, text=s.text, moments=s.moments, saliency=np.zeros(s.n_clips))
+        for s in samples
+    ]
+    for tasks in ("hd", "both"):
+        with pytest.raises(DataError, match="highlight evaluation needs at least one positive clip"):
+            evaluate(make_model(), no_positives, tasks=tasks)
 
 
 # ---------------------------------------------------------------------------
