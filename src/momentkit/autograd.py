@@ -8,8 +8,9 @@ operands' vertices (parent nodes, leaf tensors that require grad, or
 ``None``), the op's backward closure and the gradient slot. A closure returns
 one gradient per operand and captures only the arrays, shapes and scalars it
 reads, never a node or a ``Tensor``: an output that no backward reads (a
-residual sum, a product only ``relu`` consumes) is freed as soon as the caller
-drops its handle, and ``relu`` keeps a boolean mask rather than its input.
+residual sum, a product only ``relu`` or a constant factor consumes) is freed
+as soon as the caller drops its handle, and ``relu`` keeps a mask of one bit
+per element rather than its input.
 ``backward`` walks the nodes once in reverse topological order, adds each
 returned gradient into its vertex and consumes the node, dropping its closure,
 gradient and inputs, so an array a closure read is freed once the last node
@@ -18,14 +19,23 @@ graph is an error.
 
 Design constraints:
   * first-order gradients only, single-threaded per graph
-  * ``matmul`` multiplies 2-D operands only; ``sum_`` sums every element
+  * a leading sample axis runs a stack of same-shape samples as one pass:
+    ``matmul`` and ``linear`` multiply an (..., k) operand by a 2-D (k, n)
+    weight as one product over all rows, and the weight's gradient is one
+    product over all rows too; ``add`` broadcasts (N, d) tables over the
+    stack and ``broadcast_to`` repeats a parameter over it, each summing its
+    gradient back over the stack; ``unstack`` splits stacked outputs into one
+    node per sample; ``sum_`` sums every element
   * ``attend`` is multi-head attention as one tape node: it computes the heads
-    one at a time, each head's (Nq, Nk) scores built, softmaxed and mixed in
-    one buffer
+    one at a time, sample by sample in a stack, each head's (Nq, Nk) scores
+    built, softmaxed and mixed in one buffer
+  * an operand that needs no gradient gets none: ``mul``, ``matmul`` and
+    ``linear`` neither compute its gradient nor keep the other operand's data
+    for it
   * fused nodes are bitwise equal to the ops they replace: ``linear`` is
     ``add(matmul(x, w), b)`` and ``residual_dropout`` is
     ``add(x, dropout(a))``
-  * dropout keeps a boolean keep-mask (1 byte per element) and applies it as
+  * dropout keeps its keep-mask at one bit per element and applies it as
     ``(a * keep) * (1 / (1 - rate))``, bitwise ``a`` times the float mask
   * all randomness flows through an explicit :class:`RngState`
   * gradients are never changed in place: a tensor's first gradient is kept
@@ -36,6 +46,7 @@ Design constraints:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -240,35 +251,57 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
+    """Elementwise product. An operand that needs no gradient gets none, so the other's data is not kept for it."""
     a, b = _coerce(a), _coerce(b)
-    a_data, b_data = a.data, b.data
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None  # read only by b's gradient
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
-        return _unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)
+        return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
+                None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
-    return _make(a_data * b_data, (a, b), backward)
+    return _make(a.data * b.data, (a, b), backward)
 
 
-def _product(a: Tensor, b: Tensor) -> np.ndarray:
-    """``a.data @ b.data`` for 2-D operands, tallied in the MAC counter."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+def _product(a: Tensor, w: Tensor) -> np.ndarray:
+    """``a.data @ w.data`` for an (..., k) ``a`` and a 2-D (k, n) ``w``, as one product over all of ``a``'s rows.
+
+    Tallied in the MAC counter.
+    """
+    if a.data.ndim < 2 or w.data.ndim != 2:
+        raise ShapeError(f"matmul needs an (..., k) operand and a 2-D one, got {a.shape} and {w.shape}")
+    if a.shape[-1] != w.shape[0]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {w.shape}")
     global _mac_count
-    _mac_count += a.size * b.shape[1]
-    return a.data @ b.data
+    _mac_count += a.size * w.shape[1]
+    if a.data.ndim == 2:
+        return a.data @ w.data
+    return (a.data.reshape(-1, a.shape[-1]) @ w.data).reshape(*a.shape[:-1], w.shape[1])
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product of two 2-D operands."""
-    a, b = _coerce(a), _coerce(b)
-    a_data, b_data = a.data, b.data
+def _product_grads(a: Tensor, w: Tensor) -> Callable[[np.ndarray], tuple]:
+    """The gradients of ``_product(a, w)``: ``g @ w.T`` for ``a`` and one ``a.T @ g`` over all rows for ``w``.
 
-    def backward(g):
-        return g @ b_data.T, a_data.T @ g
+    An operand that needs no gradient gets ``None``, and the other's data is
+    not kept for it.
+    """
+    a_shape, stacked = a.shape, a.data.ndim > 2
+    a_rows = a.data.reshape(-1, a_shape[-1]) if w.requires_grad else None  # read only by w's gradient
+    w_data = w.data if a.requires_grad else None
 
-    return _make(_product(a, b), (a, b), backward)
+    def grads(g):
+        rows = g.reshape(-1, g.shape[-1]) if stacked else g
+        return (None if w_data is None else (rows @ w_data.T).reshape(a_shape),
+                None if a_rows is None else a_rows.T @ rows)
+
+    return grads
+
+
+def matmul(a: Tensor, w: Tensor) -> Tensor:
+    """Product of an (..., k) operand and a 2-D (k, n) one, shared by every row of the first."""
+    a, w = _coerce(a), _coerce(w)
+    return _make(_product(a, w), (a, w), _product_grads(a, w))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -282,10 +315,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear bias shape {b.shape} does not match weight shape {w.shape}")
     data = _product(x, w)
     data += b.data
-    need_x, x_data, w_data, b_shape = x.requires_grad, x.data, w.data, b.shape
+    product_grads, b_shape = _product_grads(x, w), b.shape
 
     def backward(g):
-        return g @ w_data.T if need_x else None, x_data.T @ g, _unbroadcast(g, b_shape)
+        return (*product_grads(g), _unbroadcast(g, b_shape))
 
     return _make(data, (x, w, b), backward)
 
@@ -316,13 +349,19 @@ def sum_(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _unpacked(bits: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The boolean mask of ``shape`` that ``np.packbits`` stored at one bit per element in ``bits``."""
+    return np.unpackbits(bits, count=math.prod(shape)).view(bool).reshape(shape)
+
+
 def relu(a: Tensor) -> Tensor:
-    """max(x, 0); the node keeps the 1-byte mask ``x > 0``, not ``x``."""
+    """max(x, 0); the node keeps the mask ``x > 0`` at one bit per element, not ``x``."""
     a = _coerce(a)
-    positive = a.data > 0.0 if _grad_enabled and a.requires_grad else None
+    a_shape = a.shape
+    positive = np.packbits(a.data > 0.0) if _grad_enabled and a.requires_grad else None
 
     def backward(g):
-        return (g * positive,)
+        return (g * _unpacked(positive, a_shape),)
 
     return _make(np.maximum(a.data, 0.0), (a,), backward)
 
@@ -371,6 +410,35 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _make(a.data[start:stop].copy(), (a,), backward)
 
 
+def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
+    """A copy of ``a`` repeated over new leading axes up to ``shape``; its gradient is summed over them."""
+    a = _coerce(a)
+    a_shape = a.shape
+
+    def backward(g):
+        return (_unbroadcast(g, a_shape),)
+
+    data = np.empty(tuple(shape))
+    data[...] = a.data
+    return _make(data, (a,), backward)
+
+
+def unstack(a: Tensor) -> list[Tensor]:
+    """``a[0], a[1], ...`` along the leading axis, each its own node."""
+    a = _coerce(a)
+    a_shape = a.shape
+
+    def row(i: int) -> Tensor:
+        def backward(g):
+            full = np.zeros(a_shape)
+            full[i] = g
+            return (full,)
+
+        return _make(a.data[i], (a,), backward)
+
+    return [row(i) for i in range(a_shape[0])]
+
+
 # ---------------------------------------------------------------------------
 # softmax and attention
 # ---------------------------------------------------------------------------
@@ -404,45 +472,54 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tenso
     (Nq, dim) output. Its (Nq, Nk) scores are built, softmaxed and mixed while
     they sit in cache, one head at a time. Without a tape every head reuses
     one score buffer; with one, the (heads, Nq, Nk) weights are kept for
-    backward, which runs the same float ops head by head.
+    backward, which runs the same float ops head by head. Projections with a
+    leading sample axis, (B, N, dim), attend sample by sample, each sample's
+    heads by the same float ops as its own (N, dim) call.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.shape != k.shape or k.shape[1] != q.shape[1] \
-            or q.shape[1] % n_heads:
-        raise ShapeError(f"attend needs (Nq, d), (Nk, d) and (Nk, d) with d divisible by {n_heads} heads, "
-                         f"got {q.shape}, {k.shape} and {v.shape}")
-    (n_q, dim), n_k = q.shape, k.shape[0]
+    if q.data.ndim not in (2, 3) or k.data.ndim != q.data.ndim or k.shape[:-2] != q.shape[:-2] \
+            or v.shape != k.shape or k.shape[-1] != q.shape[-1] or q.shape[-1] % n_heads:
+        raise ShapeError(f"attend needs (Nq, d), (Nk, d) and (Nk, d), each with the same leading sample axis "
+                         f"or none, and d divisible by {n_heads} heads, got {q.shape}, {k.shape} and {v.shape}")
+    q_shape, k_shape = q.shape, k.shape
+    q_data, k_data, v_data = (t.data if t.data.ndim == 3 else t.data[None] for t in (q, k, v))
+    n_s, n_q, dim = q_data.shape
+    n_k = k_data.shape[1]
     global _mac_count
-    _mac_count += 2 * n_q * n_k * dim
+    _mac_count += 2 * n_s * n_q * n_k * dim
     head_dim = dim // n_heads
     heads = [slice(h * head_dim, (h + 1) * head_dim) for h in range(n_heads)]
-    q_data, k_data, v_data = q.data, k.data, v.data
 
-    def k_t(cols: slice) -> np.ndarray:
+    def k_t(s: int, cols: slice) -> np.ndarray:
         # k_h^T copied row-major: BLAS picks its kernel, and with it the
         # rounding, by operand layout; this one matches the per-head oracle
-        return np.ascontiguousarray(k_data[:, cols].T)
+        return np.ascontiguousarray(k_data[s][:, cols].T)
 
     taped = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
-    weights = np.empty((n_heads if taped else 1, n_q, n_k))
-    out = np.empty((n_q, dim))
-    for h, cols in enumerate(heads):
-        w = weights[h if taped else 0]
-        np.matmul(q_data[:, cols], k_t(cols), out=w)
-        w *= scale
-        _softmax_(w)
-        np.matmul(w, v_data[:, cols], out=out[:, cols])
+    weights = np.empty((n_s, n_heads, n_q, n_k) if taped else (1, 1, n_q, n_k))
+    out = np.empty((n_s, n_q, dim))
+    for s in range(n_s):
+        q_s, v_s, out_s = q_data[s], v_data[s], out[s]
+        for h, cols in enumerate(heads):
+            w = weights[s, h] if taped else weights[0, 0]
+            np.matmul(q_s[:, cols], k_t(s, cols), out=w)
+            w *= scale
+            _softmax_(w)
+            np.matmul(w, v_s[:, cols], out=out_s[:, cols])
 
     def backward(g):
+        g = g.reshape(n_s, n_q, dim)
         gq, gk, gv = np.empty_like(q_data), np.empty_like(k_data), np.empty_like(v_data)
-        for h, cols in enumerate(heads):
-            np.matmul(weights[h].T, g[:, cols], out=gv[:, cols])
-            gs = _softmax_grad(g[:, cols] @ v_data[:, cols].T, weights[h], scale)
-            np.matmul(gs, k_t(cols).T, out=gq[:, cols])
-            gk[:, cols] = (q_data[:, cols].T @ gs).T
-        return gq, gk, gv
+        for s in range(n_s):
+            g_s, q_s, v_s, gq_s, gk_s, gv_s = g[s], q_data[s], v_data[s], gq[s], gk[s], gv[s]
+            for h, cols in enumerate(heads):
+                np.matmul(weights[s, h].T, g_s[:, cols], out=gv_s[:, cols])
+                gs = _softmax_grad(g_s[:, cols] @ v_s[:, cols].T, weights[s, h], scale)
+                np.matmul(gs, k_t(s, cols).T, out=gq_s[:, cols])
+                gk_s[:, cols] = (q_s[:, cols].T @ gs).T
+        return gq.reshape(q_shape), gk.reshape(k_shape), gv.reshape(k_shape)
 
-    return _make(out, (q, k, v), backward)
+    return _make(out.reshape(q_shape), (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +581,21 @@ def dropout(a: Tensor, rate: float, rng: RngState | None) -> Tensor:
 
     Dropout runs exactly when a stream is passed: with ``rng=None`` (or a zero
     rate) it returns ``a`` itself and draws nothing; otherwise it draws one
-    mask from ``rng`` and keeps it as booleans. The rate is checked either way.
+    mask from ``rng`` and keeps it at one bit per element. The rate is checked
+    either way.
     """
     a = _coerce(a)
-    keep = _keep_mask(a.shape, rate, rng)
+    a_shape = a.shape
+    keep = _keep_mask(a_shape, rate, rng)
     if keep is None:
         return a
+    data = _masked(a.data, keep, rate)
+    keep = np.packbits(keep)
 
     def backward(g):
-        return (_masked(g, keep, rate),)
+        return (_masked(g, _unpacked(keep, a_shape), rate),)
 
-    return _make(_masked(a.data, keep, rate), (a,), backward)
+    return _make(data, (a,), backward)
 
 
 def residual_dropout(residual: Tensor, a: Tensor, rate: float, rng: RngState | None) -> Tensor:
@@ -531,9 +612,10 @@ def residual_dropout(residual: Tensor, a: Tensor, rate: float, rng: RngState | N
         return add(residual, a)
     data = _masked(a.data, keep, rate)
     data += residual.data
+    keep, a_shape = np.packbits(keep), a.shape
 
     def backward(g):
-        return g, _masked(g, keep, rate)
+        return g, _masked(g, _unpacked(keep, a_shape), rate)
 
     return _make(data, (residual, a), backward)
 

@@ -21,7 +21,9 @@ Each ``AttentionParams`` owns its dropout rate and score scale, and each
 Dropout runs exactly when a dropout stream (``rng``) is passed: training
 passes one, inference passes none and draws nothing.
 
-Sequences are (N, dim) float64 tensors; one sample at a time.
+Sequences are (N, dim) float64 tensors for one sample, or (B, N, dim) for a
+stack of B samples of one shape; positional rows and bottleneck tokens are
+(N, dim) tables that broadcast over the stack.
 """
 
 from __future__ import annotations
@@ -95,13 +97,13 @@ class BottleneckTokens(Module):
     """Learnable seed values for the cross-modal bottleneck (n_tokens, dim)."""
 
     def __init__(self, n_tokens: int, dim: int, rng: RngState):
-        self.n_tokens = n_tokens
         self.tokens = Tensor(rng.normal((n_tokens, dim), scale=0.02), requires_grad=True)
 
-    def value(self) -> Tensor:
-        # a node per call sums each sample's token gradients before they reach
+    def value(self, stack: tuple[int, ...] = ()) -> Tensor:
+        """The tokens, repeated over the leading ``stack`` axes of a stacked forward."""
+        # a node per call sums each forward's token gradients before they reach
         # the parameter; that summation order is part of the checkpoint bytes
-        return ag.slice_rows(self.tokens, 0, self.n_tokens)
+        return ag.broadcast_to(self.tokens, (*stack, *self.tokens.shape))
 
 
 class AttentionParams(Module):
@@ -129,10 +131,17 @@ def attention(
     k_pos: Tensor | None = None,
     rng: RngState | None = None,
 ) -> Tensor:
-    """Multi-head attention of ``q_in`` over ``kv_in`` with a residual connection."""
-    if q_pos is not None:
-        q_in = ag.add(q_in, q_pos)
-    k_in = ag.add(kv_in, k_pos) if k_pos is not None else kv_in
+    """Multi-head attention of ``q_in`` over ``kv_in`` with a residual connection.
+
+    When queries and keys read one sequence with one positional table (a
+    self-attention), a single sum of the two feeds both projections.
+    """
+    if q_pos is not None and k_pos is q_pos and kv_in is q_in:
+        q_in = k_in = ag.add(q_in, q_pos)
+    else:
+        if q_pos is not None:
+            q_in = ag.add(q_in, q_pos)
+        k_in = ag.add(kv_in, k_pos) if k_pos is not None else kv_in
 
     q, k, v = ag.matmul(q_in, params.w_q), ag.matmul(k_in, params.w_k), ag.matmul(kv_in, params.w_v)
     out = ag.matmul(ag.attend(q, k, v, params.n_heads, params.scale), params.w_z)

@@ -95,7 +95,7 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
             raise DataError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         try:
             doc[key] = json.loads(value)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer literal past Python's 4300-digit limit: kept as text
             doc[key] = value
     return doc
 

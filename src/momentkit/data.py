@@ -248,7 +248,7 @@ def load_dataset(manifest_path: str | Path) -> list[VideoSample]:
         manifest = json.loads(manifest_path.read_text())
     except FileNotFoundError as exc:
         raise DataError(f"{manifest_path}: manifest missing") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past Python's 4300-digit limit
         raise DataError(f"{manifest_path}: invalid JSON ({exc})") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
         raise DataError(f"{manifest_path}: manifest must be a JSON object with a samples list")
@@ -334,11 +334,9 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n_clips < 2:
             raise DataError(f"n_clips must be at least 2, got {self.n_clips}")
-        for name in ("n_clips", "visual_dim", "audio_dim", "text_dim", "n_text_tokens"):
+        for name in ("n_videos", "n_clips", "visual_dim", "audio_dim", "text_dim", "n_text_tokens"):
             if not 1 <= getattr(self, name) <= MAX_DIM:
                 raise DataError(f"{name} must lie in [1, {MAX_DIM}]")
-        if self.n_videos < 1:
-            raise DataError(f"n_videos must be at least 1, got {self.n_videos}")
         if self.min_moments < 0 or self.max_moments < self.min_moments:
             raise DataError(f"bad moments range [{self.min_moments}, {self.max_moments}]")
         widest = min(self.max_width_clips, self.n_clips - 3)  # the widest span _place_moments draws

@@ -1,7 +1,7 @@
 """The joint moment-retrieval / highlight-detection model.
 
-Data flow for one video (sequences are (N, dim) tensors, one sample at a
-time):
+Data flow for one video (sequences are (N, dim) tensors; a stack of videos
+that share every input shape runs as one forward over (B, N, dim) tensors):
 
   visual ----> pre-dropout -> project -> self-attn encoder --+
                                                              |  compress into
@@ -38,6 +38,7 @@ import struct
 import sys
 import types
 import typing
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -58,7 +59,7 @@ from .blocks import (
     expand,
     self_attention,
 )
-from .data import MAX_DIM, VideoSample, is_number
+from .data import MAX_DIM, MODALITIES, VideoSample, is_number
 
 
 class ConfigError(ValueError):
@@ -154,14 +155,24 @@ class ModelConfig:
         return cfg
 
 
+def input_shapes(sample: VideoSample) -> tuple:
+    """The shape of each modality's features (``None`` where absent): samples that agree on all three stack."""
+    return tuple(None if seq is None else seq.array.shape for seq in (getattr(sample, m) for m in MODALITIES))
+
+
 @dataclass
 class RawPredictions:
-    """Per-clip outputs of the four heads, each an (N,) tensor."""
+    """Per-clip outputs of the four heads, each an (N,) tensor, or (B, N) for a stack."""
 
     saliency: Tensor  # in (0, 1)
     heatmap: Tensor   # in (0, 1)
     window: Tensor    # clips
     offset: Tensor    # clips
+
+    def unstack(self) -> list["RawPredictions"]:
+        """One sample's (N,) predictions per row of a stack's (B, N) heads."""
+        heads = (ag.unstack(getattr(self, f.name)) for f in fields(self))
+        return [RawPredictions(*row) for row in zip(*heads)]
 
 
 def _attention_params(config: ModelConfig, rng: RngState) -> AttentionParams:
@@ -317,18 +328,18 @@ class MomentModel(Module):
                 raise ConfigError(f"{name} modality enabled but features are missing")
             x = ag.dropout(feats, cfg.pre_dropout_av, rng)
             x = getattr(self, f"{name}_proj")(x)
-            pos = getattr(self, f"{name}_pos").rows(x.shape[0])
+            pos = getattr(self, f"{name}_pos").rows(x.shape[-2])
             for layer in getattr(self, f"{name}_encoder"):
                 x = layer(x, pos, rng)
             streams[name] = (x, pos)
         if len(streams) == 2:
             vis, vis_pos = streams["visual"]
             aud, aud_pos = streams["audio"]
-            if vis.shape[0] < cfg.n_bottleneck:
+            if vis.shape[-2] < cfg.n_bottleneck:
                 raise ConfigError(
-                    f"sequence of {vis.shape[0]} clips is shorter than {cfg.n_bottleneck} bottleneck tokens"
+                    f"sequence of {vis.shape[-2]} clips is shorter than {cfg.n_bottleneck} bottleneck tokens"
                 )
-            z = self.bottleneck.value()
+            z = self.bottleneck.value(vis.shape[:-2])
             for layer in self.cross_encoder:
                 vis, aud, z = layer(vis, aud, z, vis_pos, aud_pos, rng)
             return ag.add(self.visual_out_norm(vis), self.audio_out_norm(aud))
@@ -348,11 +359,11 @@ class MomentModel(Module):
             for layer in self.query_generator:
                 q = layer(q, t, rng)
             return q
-        return ag.add(joint, self.query_seed_pos.rows(joint.shape[0]))
+        return ag.add(joint, self.query_seed_pos.rows(joint.shape[-2]))
 
     def decode(self, joint: Tensor, queries: Tensor, rng: RngState | None = None) -> RawPredictions:
         """Run the query decoder and the four heads."""
-        n = queries.shape[0]
+        n = queries.shape[-2]
         q_pos = self.query_pos.rows(n)
         m_pos = self.memory_pos.rows(n)
         q = queries
@@ -361,7 +372,7 @@ class MomentModel(Module):
         q = self.decoder_norm(q)
 
         def head(linear: Linear) -> Tensor:
-            return ag.reshape(linear(q), (n,))
+            return ag.reshape(linear(q), q.shape[:-1])
 
         window = ag.softplus(head(self.window_head))
         return RawPredictions(
@@ -373,16 +384,30 @@ class MomentModel(Module):
 
     # -- sample-level wrappers ----------------------------------------------
 
-    def _sample_tensors(self, sample: VideoSample) -> dict[str, Tensor | None]:
+    def _sample_tensors(self, samples: VideoSample | Sequence[VideoSample]) -> dict[str, Tensor | None]:
+        """Each modality's features: (N, dim) for one sample, (B, N, dim) for a stack of samples of one shape."""
+        one = isinstance(samples, VideoSample)
+        stack = [samples] if one else list(samples)
+        if len({input_shapes(s) for s in stack}) != 1:
+            raise ConfigError("a stack needs at least one sample, and its samples must share every input shape")
         out: dict[str, Tensor | None] = {}
-        for mod in ("visual", "audio", "text"):
-            seq = getattr(sample, mod)
-            out[mod] = Tensor(seq.array.astype(np.float64)) if seq is not None else None
+        for mod in MODALITIES:
+            seqs = [getattr(s, mod) for s in stack]
+            if seqs[0] is None:
+                out[mod] = None
+                continue
+            data = seqs[0].array if one else np.stack([seq.array for seq in seqs])
+            out[mod] = Tensor(data.astype(np.float64))
         return out
 
-    def forward(self, sample: VideoSample, rng: RngState | None = None) -> RawPredictions:
-        """All four heads for one sample; a dropout stream ``rng`` makes it a training pass."""
-        feats = self._sample_tensors(sample)
+    def forward(self, samples: VideoSample | Sequence[VideoSample], rng: RngState | None = None) -> RawPredictions:
+        """All four heads for one sample, or for a stack of samples that share every input shape.
+
+        A stack runs as one forward over (B, N, dim) sequences and its heads are
+        (B, N). A dropout stream ``rng`` makes it a training pass, drawing one
+        mask per dropout site for the whole stack.
+        """
+        feats = self._sample_tensors(samples)
         joint = self.encode_features(feats["visual"], feats["audio"], rng)
         queries = self.generate_queries(joint, feats["text"], rng)
         return self.decode(joint, queries, rng)
@@ -465,10 +490,16 @@ def load_checkpoint(path: str | Path) -> tuple[MomentModel, dict]:
         if blob_len > size - 16:
             raise CheckpointError(f"{path}: truncated header")
         try:
+            # a ValueError here is text that is not UTF-8 or not JSON, or an integer literal past the
+            # 4300-digit limit; ModelConfig.from_dict's own ConfigError is raised outside this clause
             header = json.loads(fh.read(blob_len).decode("utf-8"))
             recorded = [(r["name"], tuple(r["shape"])) for r in header["params"]]
-            config = ModelConfig.from_dict(header["config"])
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            config_doc = header["config"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
+        try:
+            config = ModelConfig.from_dict(config_doc)
+        except TypeError as exc:
             raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
         if not all(type(d) is int and d >= 0 for _, shape in recorded for d in shape):
             raise CheckpointError(f"{path}: malformed header (parameter shapes must be non-negative integers)")

@@ -5,12 +5,21 @@ per-epoch shuffles come from one generator, dropout masks from another, and
 checkpoints are written atomically, so identical runs produce byte-identical
 checkpoint files and loss histories.
 
-A step optimizes the mean loss of a batch. Each sample is differentiated as
-soon as its loss exists, its share of the mean scaled by 1/B, before the next
-sample's forward starts: a step holds one sample's tape, not B, and gradients
-add up in the parameters. No node is shared between samples, and a backward
-through the summed batch graph also runs one sample's nodes after another, so
-the gradients are bitwise that backward's.
+A step optimizes the mean loss of a batch. The batch's largest group of
+samples that share every input shape (clips and text tokens) runs first, as
+one stacked forward over (B, N, dim) sequences and one backward; its heads
+split into the per-sample losses. The other samples then run one by one. Each
+such backward unit is differentiated as soon as its losses exist, its share of
+the mean scaled by 1/B, before the next unit's forward starts: a step holds one
+unit's tape, and gradients add up in the parameters. The stack runs while no
+gradient is held yet, so its larger tape does not meet the gradient set.
+
+A batch with no two samples of one shape runs sample by sample, by the float
+ops of one backward through the summed batch graph, so its gradients are
+bitwise that backward's. A stack sums its samples' weight gradients in one
+product over all of their rows, so its gradients equal the per-sample fold to
+rounding (within 1e-12 relative), and it draws one dropout mask per site for
+the whole stack.
 
 Task selection ("mr", "hd", "both") works by zeroing the loss weights of the
 inactive task, which leaves targets and the model untouched — the single-task
@@ -39,7 +48,7 @@ from .losses import (
     total_loss,
 )
 from .metrics import TASKS, EvalReport, build_report
-from .model import ConfigError, MomentModel, save_checkpoint
+from .model import ConfigError, MomentModel, RawPredictions, input_shapes, save_checkpoint
 
 
 @dataclass
@@ -165,25 +174,58 @@ def sample_loss(model: MomentModel, sample: VideoSample, targets, weights: LossW
 
     ``rng`` is the dropout stream; ``None`` gives the loss without dropout.
     """
-    preds = model.forward(sample, rng=rng)
+    return _weighted_loss(model.forward(sample, rng=rng), targets, weights)
+
+
+def stack_losses(model: MomentModel, samples: list[VideoSample], targets: list, weights: LossWeights,
+                 rng: RngState | None) -> list[tuple[Tensor, tuple[float, float, float, float]]]:
+    """``sample_loss`` of each of ``samples``, which share every input shape, from one forward of their stack.
+
+    A single sample runs unstacked, by the float ops of ``sample_loss``.
+    """
+    if len(samples) == 1:
+        return [sample_loss(model, samples[0], targets[0], weights, rng)]
+    preds = model.forward(samples, rng=rng)
+    return [_weighted_loss(p, t, weights) for p, t in zip(preds.unstack(), targets)]
+
+
+def _weighted_loss(preds: RawPredictions, targets, weights: LossWeights):
+    """The weighted loss of one sample's predictions, plus its four unweighted components."""
     l_s = saliency_loss(preds.saliency, targets.saliency_targets)
     l_c = focal_center_loss(preds.heatmap, targets.heatmap, targets.n_moments)
     l_w, l_o = regression_losses(preds.window, preds.offset, targets)
     return total_loss(l_s, l_c, l_w, l_o, weights), (l_s.item(), l_c.item(), l_w.item(), l_o.item())
 
 
+def backward_units(batch, shapes: list) -> list[list[int]]:
+    """The batch's largest stack of samples sharing every input shape, then the rest one by one in batch order.
+
+    Of stacks of equal size, the first in batch order runs. A batch with no
+    two samples of one shape is its samples one by one.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for idx in batch:
+        groups.setdefault(shapes[idx], []).append(int(idx))
+    stack = max(groups.values(), key=len)
+    if len(stack) == 1:
+        return [[int(idx)] for idx in batch]
+    return [stack] + [[int(idx)] for idx in batch if idx not in stack]
+
+
 def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
           out_dir: str | Path | None = None) -> TrainResult:
     """Optimize the model in place; returns loss history and checkpoint paths.
 
-    Each sample's loss is differentiated as soon as it exists, so a step holds
-    one sample's tape; the batch value is ``((s1 + s2) + ...) * (1 / B)``.
+    Each backward unit (a stack, or one sample) is differentiated as soon as
+    its losses exist, so a step holds one unit's tape; the batch value is
+    ``((s1 + s2) + ...) * (1 / B)`` in unit order.
     """
     config.validate()
     if not samples:
         raise DataError("training needs at least one sample")
     weights = config.task_weights()
     targets = [build_targets(s.moments, s.saliency, s.n_clips) for s in samples]
+    shapes = [input_shapes(s) for s in samples]
     drop_rng = RngState(config.seed)
     order = np.random.default_rng(config.seed)
     opt = AdamW(model.named_parameters(), lr=config.learning_rate, weight_decay=config.weight_decay)
@@ -200,12 +242,17 @@ def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
             opt.zero_grad()
             value: float | None = None
             comps = np.zeros(4)
-            for idx in batch:
-                sample_total, parts = sample_loss(model, samples[idx], targets[idx], weights, drop_rng)
-                # the mean is linear, so each sample's share is differentiated now and its tape freed
-                ag.backward(ag.mul(sample_total, 1.0 / len(batch)))
-                value = sample_total.item() if value is None else value + sample_total.item()
-                comps += parts
+            for unit in backward_units(batch, shapes):
+                losses = stack_losses(model, [samples[i] for i in unit], [targets[i] for i in unit], weights,
+                                      drop_rng)
+                unit_total = losses[0][0]
+                for sample_total, _ in losses[1:]:
+                    unit_total = ag.add(unit_total, sample_total)
+                # the mean is linear, so each unit's share is differentiated now and its tape freed
+                ag.backward(ag.mul(unit_total, 1.0 / len(batch)))
+                for sample_total, parts in losses:
+                    value = sample_total.item() if value is None else value + sample_total.item()
+                    comps += parts
             value *= 1.0 / len(batch)
             comps /= len(batch)
             batch_id = start // config.batch_size

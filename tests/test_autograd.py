@@ -315,6 +315,65 @@ def test_slice_rows_gradients():
         np.testing.assert_array_equal(ag.slice_rows(x, a, b).data, x.data[a:b])
 
 
+def test_broadcast_to_and_unstack_gradients():
+    rng = np.random.default_rng(15)
+    x = ag.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = ag.Tensor(rng.normal(size=(2, 3, 4)))
+    rows = rng.normal(size=(2, 3, 4))
+
+    def loss():
+        first, second = ag.unstack(ag.mul(ag.broadcast_to(x, (2, 3, 4)), w))
+        return ag.add(ag.sum_(ag.mul(first, rows[0])), ag.sum_(ag.mul(ag.mul(second, second), rows[1])))
+
+    fd_check(loss, [("x", x)])
+    pieces = ag.unstack(ag.broadcast_to(x, (2, 3, 4)))
+    assert [p.data.tobytes() for p in pieces] == [x.data.tobytes()] * 2
+
+
+def test_a_stack_equals_its_samples_one_by_one():
+    """Stacked linear, matmul, broadcast add and layer norm give each sample its own values, and
+    gradients that sum the samples' to rounding: a weight's gradient is one product over all rows."""
+    rng = np.random.default_rng(16)
+    n_s, n, d = 3, 5, 8
+    w, wq = (ag.Tensor(rng.normal(size=(d, d)), requires_grad=True) for _ in range(2))
+    b, gain, bias = (ag.Tensor(rng.normal(size=d), requires_grad=True) for _ in range(3))
+    pos = ag.Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    params = [("w", w), ("wq", wq), ("b", b), ("gain", gain), ("bias", bias), ("pos", pos)]
+    xs, mix = rng.normal(size=(n_s, n, d)), rng.normal(size=(n_s, n, d))
+
+    def block(x):
+        return ag.matmul(ag.layer_norm(ag.add(ag.linear(x, w, b), pos), gain, bias), wq)
+
+    stacked = block(ag.Tensor(xs))
+    ag.backward(ag.sum_(ag.mul(stacked, mix)))
+    got = {name: p.grad for name, p in params}
+    for _, p in params:
+        p.zero_grad()
+    for i in range(n_s):
+        out = block(ag.Tensor(xs[i]))
+        np.testing.assert_allclose(out.data, stacked.data[i], rtol=1e-13, atol=1e-13)
+        ag.backward(ag.sum_(ag.mul(out, mix[i])))
+    for name, p in params:
+        assert np.abs(got[name] - p.grad).max() <= 1e-12 * np.abs(p.grad).max(), name
+
+
+def test_stacked_attention_runs_each_samples_float_ops():
+    rng = np.random.default_rng(17)
+    n_s, n_q, n_k, d = 3, 5, 4, 8
+    q = ag.Tensor(rng.normal(size=(n_s, n_q, d)), requires_grad=True)
+    k, v = (ag.Tensor(rng.normal(size=(n_s, n_k, d)), requires_grad=True) for _ in range(2))
+    mix = rng.normal(size=(n_s, n_q, d))
+    out = ag.attend(q, k, v, 2, 0.5)
+    ag.backward(ag.sum_(ag.mul(out, mix)))
+    for i in range(n_s):
+        alone = [ag.Tensor(t.data[i], requires_grad=True) for t in (q, k, v)]
+        got = ag.attend(*alone, 2, 0.5)
+        assert got.data.tobytes() == out.data[i].tobytes()
+        ag.backward(ag.sum_(ag.mul(got, mix[i])))
+        for t, stacked in zip(alone, (q, k, v)):
+            assert t.grad.tobytes() == stacked.grad[i].tobytes()
+
+
 def test_reshape_gradients():
     rng = np.random.default_rng(14)
     x = ag.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
@@ -434,8 +493,8 @@ def test_backward_frees_interior_arrays_while_the_loss_is_held():
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    # the chain holds the 8 ReLU outputs that ``mul`` reads and 8 one-byte ReLU masks
-    assert 8 * nbytes <= built < 10 * nbytes
+    # the chain holds the 8 ReLU masks at one bit per element: ``mul`` keeps no ReLU output for the constant 1.5
+    assert nbytes // 8 <= built < nbytes // 4
     assert kept < 2 * nbytes, f"{kept} bytes still held after backward; x.grad is {nbytes}"
     assert x.grad.shape == x.shape
 
@@ -471,9 +530,26 @@ def test_an_output_no_backward_reads_is_freed_with_its_handle():
     assert built < nbytes, f"{built} bytes held by 8 sums whose backward reads only shapes"
     ag.backward(loss)
     np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
-    # relu's node keeps the 1-byte mask of its input, not the float64 input
+    # relu's node keeps the mask of its input at one bit per element, not the float64 input
     arrays = [o for o in _captured(ag.relu(x)._node._backward_fn) if isinstance(o, np.ndarray)]
-    assert [(a.dtype, a.shape) for a in arrays] == [(np.dtype(bool), x.shape)]
+    assert [(a.dtype, a.shape) for a in arrays] == [(np.dtype(np.uint8), (x.size // 8,))]
+
+
+def test_a_product_keeps_nothing_for_an_operand_that_needs_no_gradient():
+    """The node of ``mul(relu(h), 1.5)`` keeps the ReLU mask only, and ``matmul`` by a constant keeps the constant."""
+    rng = np.random.default_rng(37)
+    h = ag.Tensor(rng.normal(size=(16, 8)), requires_grad=True)
+    r = ag.relu(h)
+    out = ag.mul(r, 1.5)
+    held = [o for fn in (r._node._backward_fn, out._node._backward_fn) for o in _captured(fn)
+            if isinstance(o, np.ndarray) and o.size > 1]
+    assert [(a.dtype, a.shape) for a in held] == [(np.dtype(np.uint8), (h.size // 8,))]
+    assert out._node._backward_fn(np.ones(h.shape))[1] is None
+    c = rng.normal(size=(4, 16))
+    w_grads = ag.matmul(c, h)._node._backward_fn(np.ones((4, 8)))
+    assert w_grads[0] is None and w_grads[1].shape == h.shape
+    held = [o for o in _captured(ag.matmul(c, h)._node._backward_fn) if isinstance(o, np.ndarray)]
+    assert [a.shape for a in held] == [c.shape]
 
 
 def test_no_backward_closure_holds_an_op_output():

@@ -239,14 +239,23 @@ def _set(*path, value):
     return edit
 
 
+# an integer literal past Python's 4300-digit limit on int-string conversion, which json.dumps cannot
+# write: a rewrite spells each string value HUGE as this literal
+HUGE = "9" * 4301
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc).replace('"HUGE"', HUGE)
+
+
 def _rewrite_manifest(path, edit):
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    path.write_text(_dumps(edit(json.loads(path.read_text()))))
 
 
 def _rewrite_checkpoint_header(path, edit):
     raw = path.read_bytes()
     (length,) = struct.unpack_from("<Q", raw, 8)
-    blob = json.dumps(edit(json.loads(raw[16:16 + length]))).encode("utf-8")
+    blob = _dumps(edit(json.loads(raw[16:16 + length]))).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length:])
 
 
@@ -302,6 +311,9 @@ MALFORMED = {
     "numeric-string saliency": (_rewrite_manifest, _set("samples", 0, "saliency", 0, value="0.5"), DataError),
     "oversized-integer clip_seconds": (_rewrite_manifest, _set("samples", 0, "clip_seconds", value=10**400), DataError),
     "oversized-integer saliency": (_rewrite_manifest, _set("samples", 0, "saliency", 0, value=10**400), DataError),
+    "4301-digit positive_threshold": (_rewrite_manifest, _set("positive_threshold", value="HUGE"), DataError),
+    "checkpoint config heads of 4301 digits": (
+        _rewrite_checkpoint_header, _set("config", "heads", value="HUGE"), CheckpointError),
 }
 
 
@@ -348,6 +360,8 @@ BAD_CONFIG_LINES = {
     "synth.n_clips = 3": ("synth", DataError),
     "synth.seed = -1": ("synth", DataError),
     "train.seed = -1": ("train", ConfigError),
+    f"train.epochs = {HUGE}": ("train", DataError),  # kept as text, so the type check names the key
+    f"synth.n_videos = {10**400}": ("synth", DataError),  # bounded, so nothing is synthesized
 }
 # every float field given an int beyond float range, the one number rule of manifests too
 BAD_CONFIG_LINES.update({

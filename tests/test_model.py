@@ -92,6 +92,10 @@ def test_dropout_draws_follow_the_stream():
     # 3 input dropouts + 2 uni-modal layers x (attention + 2 in the FFN) + cross-modal
     # (4 attentions + 2 FFNs x 2) + query generator 1 + decoder (2 attentions + 2 in the FFN)
     assert rng.position == 3 + 2 * 3 + 8 + 1 + 4 == 22
+    # a stack draws one mask per site for all of its samples, so the same 22 draws
+    stacked = RngState(11)
+    model.forward([make_sample(seed=5 + i) for i in range(3)], stacked)
+    assert stacked.position == 22
     no_rates = dict(dropout=0.0, pre_dropout_av=0.0, pre_dropout_text=0.0)
     unused = RngState(11)
     zero_rate = MomentModel(small_config(**no_rates), seed=4).forward(sample, unused)
@@ -101,19 +105,43 @@ def test_dropout_draws_follow_the_stream():
         assert np.array_equal(getattr(eval_out, field).data, getattr(zero_rate, field).data)
 
 
+@pytest.mark.parametrize("overrides", [{}, dict(use_text=False), dict(use_audio=False)])
+def test_a_stacked_forward_equals_each_samples_forward(overrides):
+    """Heads of a stack are (B, N) and each row is its sample's own forward, to rounding."""
+    model = MomentModel(small_config(**overrides), seed=4)
+    samples = [make_sample(n_clips=7, seed=20 + i, with_text=overrides.get("use_text", True),
+                           with_audio=overrides.get("use_audio", True)) for i in range(3)]
+    stacked = model.forward(samples)
+    rows = stacked.unstack()
+    for sample, row in zip(samples, rows):
+        alone = model.forward(sample)
+        for field in ("saliency", "heatmap", "window", "offset"):
+            assert getattr(stacked, field).shape == (3, 7)
+            np.testing.assert_allclose(getattr(row, field).data, getattr(alone, field).data, rtol=1e-12, atol=1e-14)
+
+
+def test_a_stack_needs_samples_of_one_shape():
+    model = MomentModel(small_config(), seed=4)
+    for stack in ([], [make_sample(n_clips=6), make_sample(n_clips=7)], [make_sample(), make_sample(n_text=2)]):
+        with pytest.raises(ConfigError, match="share every input shape"):
+            model.forward(stack)
+
+
 def test_training_forward_tape_node_count():
     """The tape of one training forward and its loss, as backward walks it.
 
     Each of the 17 ``Linear`` calls is one node, and each of the 14 residual
     connections is one node with the dropout before it (323 nodes before they
     were fused). Each of the four losses and their weighted total is one node
-    (292 nodes when they were chains of 40 ops).
+    (292 nodes when they were chains of 40 ops). Each of the three
+    self-attentions adds its positional rows once, for queries and keys alike
+    (257 nodes when it added them twice).
     """
     model = MomentModel(small_config(), seed=4)
     sample = make_sample(seed=5)
     targets = build_targets(sample.moments, sample.saliency, sample.n_clips)
     loss, _ = sample_loss(model, sample, targets, LossWeights(), RngState(11))
-    assert len(ag._topo_order(loss)) == 257
+    assert len(ag._topo_order(loss)) == 254
 
 
 # ---------------------------------------------------------------------------

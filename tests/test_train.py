@@ -10,13 +10,16 @@ import numpy as np
 import pytest
 
 from momentkit import autograd as ag
+from momentkit import train as train_module
 from momentkit.autograd import NumericError, RngState, Tensor
 from momentkit.data import DataError, SynthConfig, VideoSample, synthesize_dataset
 from momentkit.decode import read_predictions
 from momentkit.losses import LossWeights, build_targets
 from momentkit.metrics import build_report
 from momentkit.model import ConfigError, ModelConfig, MomentModel
-from momentkit.train import AdamW, TrainConfig, evaluate, predict, sample_loss, train
+from momentkit.train import (
+    AdamW, TrainConfig, backward_units, evaluate, predict, sample_loss, stack_losses, train,
+)
 
 MODEL = dict(
     model_dim=8, heads=2, uni_layers=1, cross_layers=1, decoder_layers=1,
@@ -146,11 +149,11 @@ def test_same_seed_gives_identical_runs(tmp_path):
 # moves checkpoint bytes updates every row (each kernel can be forced with OPENBLAS_CORETYPE)
 # and records the move in CHANGES.md
 PINNED_CHECKPOINT_SHA256 = {
-    "SkylakeX": "d926c9559271079e7c0d1f3772ca76cd8b399f5da90d95014e40531777f89cee",
-    "Haswell": "2680281770345d43cefabf6c483ae153a88056113a49c2917bc1c1135dfc8942",
-    "Sandybridge": "e2678d6399fd30fb751c27a61d8cc8066a048780f8f8760b5974cf7c4f73247c",
-    "Nehalem": "9cf4510a83f17380a1677bf4f9fe34bc2ab2654c6c832fbe070e050c3d68bb0e",
-    "Katmai": "23be14719a48e8cf946306cb39a526c91dab810514f6d5b8067a403e84567abf",  # OPENBLAS_CORETYPE=Prescott
+    "SkylakeX": "3e771a928f7c846274e50ad96eee43dfdf15223b3e13b27f4149318fcf344e26",
+    "Haswell": "a6f9d842dbda99fc8a473737890136a8ca165701c023b69c05e691f4890aef33",
+    "Sandybridge": "dd2b8b8c958b3912681087139bfa7884355697a28d716c125e93255b9b71c62d",
+    "Nehalem": "0cf6e79f4cf42742eb9636351f8c7c94aa10e5b749b12d3651bf3cf90e19efff",
+    "Katmai": "9ed36dbce0276e30eaa222fc3148bbb00339168a24f466ce7e146382a61c1ba4",  # OPENBLAS_CORETYPE=Prescott
 }
 
 
@@ -166,7 +169,7 @@ def blas_kernel() -> str | None:
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
-    """Two epochs with dropout and batches of two: the final checkpoint's bytes do not move."""
+    """Two epochs with dropout and batches of two, each one stack: the final checkpoint's bytes do not move."""
     model = make_model(seed=3)
     train(model, tiny_dataset(n=4, seed=2), TrainConfig(epochs=2, batch_size=2, seed=1), tmp_path)
     digest = hashlib.sha256((tmp_path / "final.ckpt").read_bytes()).hexdigest()
@@ -199,10 +202,23 @@ def test_each_parameter_receives_one_gradient_per_sample_backward(layers, n_para
     assert len(params) == n_params
     assert {n: c for n, c in received.items() if c != 1} == {}
 
+    # a stack of samples that share every input shape is one backward, and one contribution
+    received.update(dict.fromkeys(params, 0))
+    stack = synthesize_dataset(SynthConfig(n_videos=3, n_clips=16, min_moments=2, seed=22))
+    losses = stack_losses(model, stack, [build_targets(s.moments, s.saliency, s.n_clips) for s in stack],
+                          LossWeights(), RngState(1))
+    ag.backward(ag.add(ag.add(losses[0][0], losses[1][0]), losses[2][0]))
+    assert {n: c for n, c in received.items() if c != 1} == {}
+
+
+def ragged_dataset(lengths, seed=0):
+    """One tiny sample per clip count, so no two of them stack."""
+    return [tiny_dataset(n=1, n_clips=n, seed=seed + i)[0] for i, n in enumerate(lengths)]
+
 
 def test_a_step_equals_one_backward_through_the_summed_batch_graph():
-    """Per-sample backward gives the gradients and update of the whole batch's mean, bit for bit."""
-    samples = tiny_dataset(n=4, seed=2)
+    """A batch with no two samples of one shape gives the gradients and update of the batch mean, bit for bit."""
+    samples = ragged_dataset((8, 9, 10, 11), seed=2)
     cfg = TrainConfig(epochs=1, batch_size=4, seed=1)
     model = make_model(seed=3)
     train(model, samples, cfg)
@@ -223,11 +239,70 @@ def test_a_step_equals_one_backward_through_the_summed_batch_graph():
         assert p.data.tobytes() == q.data.tobytes(), name
 
 
+class RecordedStream(RngState):
+    """A dropout stream that keeps every draw it hands out."""
+
+    draws: list[np.ndarray] = []
+
+    def random(self, shape=None):
+        out = super().random(shape)
+        self.draws.append(out)
+        return out
+
+
+class ReplayedStream(RngState):
+    """Hands out row ``row`` of each recorded stacked draw in turn: one sample's share of the stack's masks."""
+
+    def __init__(self, draws, row):
+        super().__init__(0)
+        self._draws = iter(draws)
+        self._row = row
+
+    def random(self, shape=None):
+        out = next(self._draws)[self._row]
+        assert out.shape == shape
+        return out
+
+
+@pytest.mark.parametrize("dropout", [False, True])
+def test_a_stacked_step_equals_the_per_sample_fold(dropout, monkeypatch):
+    """A batch of one shape is one stacked forward and backward; its gradients equal the per-sample fold.
+
+    The stack sums its weight gradients over all samples' rows in one product,
+    so the two agree to rounding, within 1e-12 of each parameter's largest
+    gradient. With dropout, each sample replays its row of the stack's masks.
+    """
+    samples = tiny_dataset(n=4, seed=2)
+    rates = {} if dropout else dict(dropout=0.0, pre_dropout_av=0.0, pre_dropout_text=0.0)
+    cfg = TrainConfig(epochs=1, batch_size=4, seed=1)
+    monkeypatch.setattr(RecordedStream, "draws", [])
+    monkeypatch.setattr(train_module, "RngState", RecordedStream)
+    model = make_model(seed=3, **rates)
+    train(model, samples, cfg)
+    assert len(RecordedStream.draws) == (22 if dropout else 0)  # one mask per site for the whole stack
+
+    ref = make_model(seed=3, **rates)
+    for row, idx in enumerate(np.random.default_rng(cfg.seed).permutation(len(samples))):
+        s = samples[idx]
+        loss, _ = sample_loss(ref, s, build_targets(s.moments, s.saliency, s.n_clips), cfg.task_weights(),
+                              ReplayedStream(RecordedStream.draws, row))
+        ag.backward(ag.mul(loss, 1.0 / len(samples)))
+    for (name, p), (_, q) in zip(model.named_parameters(), ref.named_parameters()):
+        assert np.abs(p.grad - q.grad).max() <= 1e-12 * np.abs(q.grad).max(), name
+
+
+def test_backward_units_stack_the_largest_group_first():
+    shapes = [(8,), (9,), (8,), (9,), (9,), (7,)]
+    assert backward_units(np.array([0, 1, 2, 3, 4, 5]), shapes) == [[1, 3, 4], [0], [2], [5]]
+    assert backward_units(np.array([2, 1, 0, 3]), shapes) == [[2, 0], [1], [3]]  # a tie goes to the first
+    assert backward_units(np.array([5, 0, 1]), shapes) == [[5], [0], [1]]
+
+
 def test_a_training_step_holds_one_samples_tape():
-    """An epoch of one batch of four peaks near one sample's tape, not four, above the optimizer state."""
+    """An epoch of one batch of four unstacked samples peaks near one sample's tape, not four, above the optimizer state."""
     # few parameters and long sequences, so the tape dominates the heap
     n_clips = 128
-    samples = tiny_dataset(n=4, n_clips=n_clips)
+    samples = ragged_dataset((n_clips, n_clips - 1, n_clips - 2, n_clips - 3))
     model = make_model(model_dim=8, max_len=n_clips)
     s = samples[0]
     tracemalloc.start()
@@ -245,6 +320,32 @@ def test_a_training_step_holds_one_samples_tape():
     finally:
         tracemalloc.stop()
     optimizer_state = 2 * sum(p.data.nbytes for _, p in model.named_parameters())
+    assert peak < optimizer_state + 1.5 * tape, (peak, optimizer_state, tape)
+
+
+def test_a_stacked_step_holds_the_stacks_tape_not_the_batchs():
+    """A batch of a stack of two and two other samples peaks near the stack's tape, above the optimizer state."""
+    n_clips = 128
+    samples = tiny_dataset(n=2, n_clips=n_clips) + ragged_dataset((n_clips - 8, n_clips - 16), seed=5)
+    model = make_model(model_dim=8, max_len=n_clips)
+    stack = samples[:2]
+    tracemalloc.start()
+    try:
+        losses = stack_losses(model, stack, [build_targets(s.moments, s.saliency, s.n_clips) for s in stack],
+                              LossWeights(), RngState(0))
+        tape = tracemalloc.get_traced_memory()[0]
+        ag.backward(ag.add(losses[0][0], losses[1][0]))
+        for _, p in model.named_parameters():
+            p.zero_grad()
+        del losses
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        train(model, samples, TrainConfig(epochs=1, batch_size=4, seed=0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    optimizer_state = 2 * sum(p.data.nbytes for _, p in model.named_parameters())
+    # the whole batch's tape is about twice the stack's
     assert peak < optimizer_state + 1.5 * tape, (peak, optimizer_state, tape)
 
 
