@@ -9,8 +9,8 @@ operands' vertices (parent nodes, leaf tensors that require grad, or
 one gradient per operand and captures only the arrays, shapes and scalars it
 reads, never a node or a ``Tensor``: an output that no backward reads (a
 residual sum, a product only ``relu`` or a constant factor consumes) is freed
-as soon as the caller drops its handle, and ``relu`` keeps a mask of one bit
-per element rather than its input.
+as soon as the caller drops its handle, and ``relu`` keeps a boolean mask
+rather than its input.
 ``backward`` walks the nodes once in reverse topological order, adds each
 returned gradient into its vertex and consumes the node, dropping its closure,
 gradient and inputs, so an array a closure read is freed once the last node
@@ -35,7 +35,7 @@ Design constraints:
   * fused nodes are bitwise equal to the ops they replace: ``linear`` is
     ``add(matmul(x, w), b)`` and ``residual_dropout`` is
     ``add(x, dropout(a))``
-  * dropout keeps its keep-mask at one bit per element and applies it as
+  * dropout keeps a boolean keep-mask (1 byte per element) and applies it as
     ``(a * keep) * (1 / (1 - rate))``, bitwise ``a`` times the float mask
   * all randomness flows through an explicit :class:`RngState`
   * gradients are never changed in place: a tensor's first gradient is kept
@@ -46,7 +46,6 @@ Design constraints:
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -275,8 +274,6 @@ def _product(a: Tensor, w: Tensor) -> np.ndarray:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {w.shape}")
     global _mac_count
     _mac_count += a.size * w.shape[1]
-    if a.data.ndim == 2:
-        return a.data @ w.data
     return (a.data.reshape(-1, a.shape[-1]) @ w.data).reshape(*a.shape[:-1], w.shape[1])
 
 
@@ -286,12 +283,12 @@ def _product_grads(a: Tensor, w: Tensor) -> Callable[[np.ndarray], tuple]:
     An operand that needs no gradient gets ``None``, and the other's data is
     not kept for it.
     """
-    a_shape, stacked = a.shape, a.data.ndim > 2
+    a_shape = a.shape
     a_rows = a.data.reshape(-1, a_shape[-1]) if w.requires_grad else None  # read only by w's gradient
     w_data = w.data if a.requires_grad else None
 
     def grads(g):
-        rows = g.reshape(-1, g.shape[-1]) if stacked else g
+        rows = g.reshape(-1, g.shape[-1])
         return (None if w_data is None else (rows @ w_data.T).reshape(a_shape),
                 None if a_rows is None else a_rows.T @ rows)
 
@@ -349,19 +346,13 @@ def sum_(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _unpacked(bits: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The boolean mask of ``shape`` that ``np.packbits`` stored at one bit per element in ``bits``."""
-    return np.unpackbits(bits, count=math.prod(shape)).view(bool).reshape(shape)
-
-
 def relu(a: Tensor) -> Tensor:
-    """max(x, 0); the node keeps the mask ``x > 0`` at one bit per element, not ``x``."""
+    """max(x, 0); the node keeps the 1-byte mask ``x > 0``, not ``x``."""
     a = _coerce(a)
-    a_shape = a.shape
-    positive = np.packbits(a.data > 0.0) if _grad_enabled and a.requires_grad else None
+    positive = a.data > 0.0 if _grad_enabled and a.requires_grad else None
 
     def backward(g):
-        return (g * _unpacked(positive, a_shape),)
+        return (g * positive,)
 
     return _make(np.maximum(a.data, 0.0), (a,), backward)
 
@@ -399,6 +390,7 @@ def softplus(a: Tensor) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of a 2-D table; on a stack it would cut samples, not rows."""
     a = _coerce(a)
     a_shape = a.shape
 
@@ -581,21 +573,17 @@ def dropout(a: Tensor, rate: float, rng: RngState | None) -> Tensor:
 
     Dropout runs exactly when a stream is passed: with ``rng=None`` (or a zero
     rate) it returns ``a`` itself and draws nothing; otherwise it draws one
-    mask from ``rng`` and keeps it at one bit per element. The rate is checked
-    either way.
+    mask from ``rng`` and keeps it as booleans. The rate is checked either way.
     """
     a = _coerce(a)
-    a_shape = a.shape
-    keep = _keep_mask(a_shape, rate, rng)
+    keep = _keep_mask(a.shape, rate, rng)
     if keep is None:
         return a
-    data = _masked(a.data, keep, rate)
-    keep = np.packbits(keep)
 
     def backward(g):
-        return (_masked(g, _unpacked(keep, a_shape), rate),)
+        return (_masked(g, keep, rate),)
 
-    return _make(data, (a,), backward)
+    return _make(_masked(a.data, keep, rate), (a,), backward)
 
 
 def residual_dropout(residual: Tensor, a: Tensor, rate: float, rng: RngState | None) -> Tensor:
@@ -612,10 +600,9 @@ def residual_dropout(residual: Tensor, a: Tensor, rate: float, rng: RngState | N
         return add(residual, a)
     data = _masked(a.data, keep, rate)
     data += residual.data
-    keep, a_shape = np.packbits(keep), a.shape
 
     def backward(g):
-        return g, _masked(g, _unpacked(keep, a_shape), rate)
+        return g, _masked(g, keep, rate)
 
     return _make(data, (residual, a), backward)
 

@@ -493,8 +493,8 @@ def test_backward_frees_interior_arrays_while_the_loss_is_held():
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    # the chain holds the 8 ReLU masks at one bit per element: ``mul`` keeps no ReLU output for the constant 1.5
-    assert nbytes // 8 <= built < nbytes // 4
+    # the chain holds the 8 one-byte ReLU masks: ``mul`` keeps no ReLU output for the constant 1.5
+    assert nbytes <= built < 2 * nbytes
     assert kept < 2 * nbytes, f"{kept} bytes still held after backward; x.grad is {nbytes}"
     assert x.grad.shape == x.shape
 
@@ -530,9 +530,9 @@ def test_an_output_no_backward_reads_is_freed_with_its_handle():
     assert built < nbytes, f"{built} bytes held by 8 sums whose backward reads only shapes"
     ag.backward(loss)
     np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
-    # relu's node keeps the mask of its input at one bit per element, not the float64 input
+    # relu's node keeps the 1-byte mask of its input, not the float64 input
     arrays = [o for o in _captured(ag.relu(x)._node._backward_fn) if isinstance(o, np.ndarray)]
-    assert [(a.dtype, a.shape) for a in arrays] == [(np.dtype(np.uint8), (x.size // 8,))]
+    assert [(a.dtype, a.shape) for a in arrays] == [(np.dtype(bool), x.shape)]
 
 
 def test_a_product_keeps_nothing_for_an_operand_that_needs_no_gradient():
@@ -543,7 +543,7 @@ def test_a_product_keeps_nothing_for_an_operand_that_needs_no_gradient():
     out = ag.mul(r, 1.5)
     held = [o for fn in (r._node._backward_fn, out._node._backward_fn) for o in _captured(fn)
             if isinstance(o, np.ndarray) and o.size > 1]
-    assert [(a.dtype, a.shape) for a in held] == [(np.dtype(np.uint8), (h.size // 8,))]
+    assert [(a.dtype, a.shape) for a in held] == [(np.dtype(bool), h.shape)]
     assert out._node._backward_fn(np.ones(h.shape))[1] is None
     c = rng.normal(size=(4, 16))
     w_grads = ag.matmul(c, h)._node._backward_fn(np.ones((4, 8)))
