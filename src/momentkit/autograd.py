@@ -19,13 +19,14 @@ graph is an error.
 
 Design constraints:
   * first-order gradients only, single-threaded per graph
-  * a leading sample axis runs a stack of same-shape samples as one pass:
+  * a leading sample axis runs a stack of same-shape samples as one pass
+    (the model runs every forward as a stack, a lone sample as a stack of one):
     ``matmul`` and ``linear`` multiply an (..., k) operand by a 2-D (k, n)
     weight as one product over all rows, and the weight's gradient is one
     product over all rows too; ``add`` broadcasts (N, d) tables over the
     stack and ``broadcast_to`` repeats a parameter over it, each summing its
-    gradient back over the stack; ``unstack`` splits stacked outputs into one
-    node per sample; ``sum_`` sums every element
+    gradient back over the stack; ``unstack`` splits the (B, N, 1) heads into
+    one (N,) node per sample; ``sum_`` sums every element
   * ``attend`` is multi-head attention as one tape node: it computes the heads
     one at a time, sample by sample in a stack, each head's (Nq, Nk) scores
     built, softmaxed and mixed in one buffer
@@ -320,16 +321,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(data, (x, w, b), backward)
 
 
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    a = _coerce(a)
-    a_shape = a.shape
-
-    def backward(g):
-        return (g.reshape(a_shape),)
-
-    return _make(a.data.reshape(shape), (a,), backward)
-
-
 def sum_(a: Tensor) -> Tensor:
     """Sum of every element, as a one-element tensor of shape (1,)."""
     a = _coerce(a)
@@ -416,17 +407,22 @@ def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def unstack(a: Tensor) -> list[Tensor]:
-    """``a[0], a[1], ...`` along the leading axis, each its own node."""
+    """``a[0], a[1], ...`` along the leading axis, each its own node.
+
+    A trailing axis of size 1 is dropped, so the (B, N, 1) output of a
+    one-unit head splits into B (N,) rows.
+    """
     a = _coerce(a)
     a_shape = a.shape
+    rows = a.data[..., 0] if a.data.ndim > 1 and a_shape[-1] == 1 else a.data
 
     def row(i: int) -> Tensor:
         def backward(g):
             full = np.zeros(a_shape)
-            full[i] = g
+            full[i] = g.reshape(a_shape[1:])
             return (full,)
 
-        return _make(a.data[i], (a,), backward)
+        return _make(rows[i], (a,), backward)
 
     return [row(i) for i in range(a_shape[0])]
 

@@ -23,6 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .data import DataError
 from .losses import TargetSet
 
 
@@ -156,4 +157,18 @@ def write_predictions(path: str | Path, records: Iterable[PredictionRecord]) -> 
 
 
 def read_predictions(path: str | Path) -> list[PredictionRecord]:
-    return [PredictionRecord.from_json_line(line) for line in Path(path).read_text().splitlines() if line.strip()]
+    """The records of a JSON-lines predictions file, skipping blank lines.
+
+    A line that is not JSON, not an object, or lacks a field is a
+    ``DataError`` naming the file and the 1-based line.
+    """
+    records = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(PredictionRecord.from_json_line(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: line {number}: malformed prediction record "
+                            f"({type(exc).__name__}: {exc})") from exc
+    return records

@@ -1,7 +1,7 @@
 """The joint moment-retrieval / highlight-detection model.
 
-Data flow for one video (sequences are (N, dim) tensors; a stack of videos
-that share every input shape runs as one forward over (B, N, dim) tensors):
+Data flow (every forward runs a stack of B videos that share every input
+shape over (B, N, dim) tensors; a lone video is a stack of one):
 
   visual ----> pre-dropout -> project -> self-attn encoder --+
                                                              |  compress into
@@ -15,7 +15,8 @@ that share every input shape runs as one forward over (B, N, dim) tensors):
   decoder: per layer, query self-attention, cross-attention into the joint
   sequence (separate learned positional tables for queries and memory), FFN
   heads: saliency & center heatmap (sigmoid), window (softplus so durations
-  stay positive), offset (linear)
+  stay positive), offset (linear); each (B, N, 1) head splits once into one
+  (N,) row per video
 
 With a single input modality the bottleneck stage is skipped and its closing
 layer norm moves to the end of that modality's encoder, so disabled
@@ -45,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from .autograd import RngState, Tensor
+from .autograd import RngState, ShapeError, Tensor
 from .blocks import (
     AttentionParams,
     BottleneckTokens,
@@ -162,17 +163,12 @@ def input_shapes(sample: VideoSample) -> tuple:
 
 @dataclass
 class RawPredictions:
-    """Per-clip outputs of the four heads, each an (N,) tensor, or (B, N) for a stack."""
+    """Per-clip outputs of the four heads for one sample, each an (N,) tensor."""
 
     saliency: Tensor  # in (0, 1)
     heatmap: Tensor   # in (0, 1)
     window: Tensor    # clips
     offset: Tensor    # clips
-
-    def unstack(self) -> list["RawPredictions"]:
-        """One sample's (N,) predictions per row of a stack's (B, N) heads."""
-        heads = (ag.unstack(getattr(self, f.name)) for f in fields(self))
-        return [RawPredictions(*row) for row in zip(*heads)]
 
 
 def _attention_params(config: ModelConfig, rng: RngState) -> AttentionParams:
@@ -318,7 +314,7 @@ class MomentModel(Module):
     # -- encoding ----------------------------------------------------------
 
     def encode_features(self, visual: Tensor | None, audio: Tensor | None, rng: RngState | None = None) -> Tensor:
-        """Fuse raw modality features into the joint (N_v, model_dim) sequence."""
+        """Fuse (B, N, dim) modality features into the joint (B, N_v, model_dim) sequences."""
         cfg = self.config
         streams: dict[str, tuple[Tensor, Tensor]] = {}
         for name, feats in (("visual", visual), ("audio", audio)):
@@ -361,8 +357,10 @@ class MomentModel(Module):
             return q
         return ag.add(joint, self.query_seed_pos.rows(joint.shape[-2]))
 
-    def decode(self, joint: Tensor, queries: Tensor, rng: RngState | None = None) -> RawPredictions:
-        """Run the query decoder and the four heads."""
+    def decode(self, joint: Tensor, queries: Tensor, rng: RngState | None = None) -> list[RawPredictions]:
+        """Run the query decoder and the four heads over a (B, N, dim) stack: one sample's predictions per row."""
+        if queries.data.ndim != 3:
+            raise ShapeError(f"decode needs (B, N, dim) stacks, got queries of shape {queries.shape}")
         n = queries.shape[-2]
         q_pos = self.query_pos.rows(n)
         m_pos = self.memory_pos.rows(n)
@@ -370,47 +368,37 @@ class MomentModel(Module):
         for layer in self.decoder:
             q = layer(q, joint, q_pos, m_pos, rng)
         q = self.decoder_norm(q)
-
-        def head(linear: Linear) -> Tensor:
-            return ag.reshape(linear(q), q.shape[:-1])
-
-        window = ag.softplus(head(self.window_head))
-        return RawPredictions(
-            saliency=ag.sigmoid(head(self.saliency_head)),
-            heatmap=ag.sigmoid(head(self.heatmap_head)),
-            window=window,
-            offset=head(self.offset_head),
-        )
+        heads = (ag.sigmoid(self.saliency_head(q)), ag.sigmoid(self.heatmap_head(q)),
+                 ag.softplus(self.window_head(q)), self.offset_head(q))
+        return [RawPredictions(*row) for row in zip(*map(ag.unstack, heads))]
 
     # -- sample-level wrappers ----------------------------------------------
 
-    def _sample_tensors(self, samples: VideoSample | Sequence[VideoSample]) -> dict[str, Tensor | None]:
-        """Each modality's features: (N, dim) for one sample, (B, N, dim) for a stack of samples of one shape."""
-        one = isinstance(samples, VideoSample)
-        stack = [samples] if one else list(samples)
-        if len({input_shapes(s) for s in stack}) != 1:
+    def _sample_tensors(self, samples: Sequence[VideoSample]) -> dict[str, Tensor | None]:
+        """Each modality's features as one (B, N, dim) stack of samples that share every input shape."""
+        if len({input_shapes(s) for s in samples}) != 1:
             raise ConfigError("a stack needs at least one sample, and its samples must share every input shape")
         out: dict[str, Tensor | None] = {}
         for mod in MODALITIES:
-            seqs = [getattr(s, mod) for s in stack]
-            if seqs[0] is None:
-                out[mod] = None
-                continue
-            data = seqs[0].array if one else np.stack([seq.array for seq in seqs])
-            out[mod] = Tensor(data.astype(np.float64))
+            seqs = [getattr(s, mod) for s in samples]
+            out[mod] = None if seqs[0] is None else Tensor(np.stack([seq.array for seq in seqs]).astype(np.float64))
         return out
 
-    def forward(self, samples: VideoSample | Sequence[VideoSample], rng: RngState | None = None) -> RawPredictions:
-        """All four heads for one sample, or for a stack of samples that share every input shape.
+    def forward(self, samples: VideoSample | Sequence[VideoSample],
+                rng: RngState | None = None) -> RawPredictions | list[RawPredictions]:
+        """All four heads of one sample, or of each sample of a list that share every input shape.
 
-        A stack runs as one forward over (B, N, dim) sequences and its heads are
-        (B, N). A dropout stream ``rng`` makes it a training pass, drawing one
-        mask per dropout site for the whole stack.
+        Either way one forward runs over (B, N, dim) sequences, a lone sample as
+        a stack of one: it returns that sample's (N,) predictions, and a list
+        returns one per sample. A dropout stream ``rng`` makes it a training
+        pass, drawing one mask per dropout site for the whole stack.
         """
-        feats = self._sample_tensors(samples)
+        one = isinstance(samples, VideoSample)
+        feats = self._sample_tensors([samples] if one else samples)
         joint = self.encode_features(feats["visual"], feats["audio"], rng)
         queries = self.generate_queries(joint, feats["text"], rng)
-        return self.decode(joint, queries, rng)
+        preds = self.decode(joint, queries, rng)
+        return preds[0] if one else preds
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ checkpoint files and loss histories.
 A step optimizes the mean loss of a batch. The batch's largest group of
 samples that share every input shape (clips and text tokens) runs first, as
 one stacked forward over (B, N, dim) sequences and one backward; its heads
-split into the per-sample losses. The other samples then run one by one. Each
-such backward unit is differentiated as soon as its losses exist, its share of
-the mean scaled by 1/B, before the next unit's forward starts: a step holds one
-unit's tape, and gradients add up in the parameters. The stack runs while no
-gradient is held yet, so its larger tape does not meet the gradient set.
+split into the per-sample losses. The other samples then run one by one, each
+as a stack of one. Each such backward unit is differentiated as soon as its
+losses exist, its share of the mean scaled by 1/B, before the next unit's
+forward starts: a step holds one unit's tape, and gradients add up in the
+parameters. The stack runs while no gradient is held yet, so its larger tape
+does not meet the gradient set.
 
-A batch with no two samples of one shape runs sample by sample, by the float
+A batch with no two samples of one shape runs as stacks of one, by the float
 ops of one backward through the summed batch graph, so its gradients are
 bitwise that backward's. A stack sums its samples' weight gradients in one
 product over all of their rows, so its gradients equal the per-sample fold to
@@ -179,14 +180,8 @@ def sample_loss(model: MomentModel, sample: VideoSample, targets, weights: LossW
 
 def stack_losses(model: MomentModel, samples: list[VideoSample], targets: list, weights: LossWeights,
                  rng: RngState | None) -> list[tuple[Tensor, tuple[float, float, float, float]]]:
-    """``sample_loss`` of each of ``samples``, which share every input shape, from one forward of their stack.
-
-    A single sample runs unstacked, by the float ops of ``sample_loss``.
-    """
-    if len(samples) == 1:
-        return [sample_loss(model, samples[0], targets[0], weights, rng)]
-    preds = model.forward(samples, rng=rng)
-    return [_weighted_loss(p, t, weights) for p, t in zip(preds.unstack(), targets)]
+    """``sample_loss`` of each of ``samples``, which share every input shape, from one forward of their stack."""
+    return [_weighted_loss(p, t, weights) for p, t in zip(model.forward(samples, rng=rng), targets)]
 
 
 def _weighted_loss(preds: RawPredictions, targets, weights: LossWeights):
@@ -207,8 +202,6 @@ def backward_units(batch, shapes: list) -> list[list[int]]:
     for idx in batch:
         groups.setdefault(shapes[idx], []).append(int(idx))
     stack = max(groups.values(), key=len)
-    if len(stack) == 1:
-        return [[int(idx)] for idx in batch]
     return [stack] + [[int(idx)] for idx in batch if idx not in stack]
 
 
@@ -216,9 +209,9 @@ def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
           out_dir: str | Path | None = None) -> TrainResult:
     """Optimize the model in place; returns loss history and checkpoint paths.
 
-    Each backward unit (a stack, or one sample) is differentiated as soon as
-    its losses exist, so a step holds one unit's tape; the batch value is
-    ``((s1 + s2) + ...) * (1 / B)`` in unit order.
+    Each backward unit (a stack of one sample or more) is differentiated as
+    soon as its losses exist, so a step holds one unit's tape; the batch value
+    is ``((s1 + s2) + ...) * (1 / B)`` in unit order.
     """
     config.validate()
     if not samples:

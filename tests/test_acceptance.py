@@ -53,15 +53,16 @@ def test_criterion_1_gradient_integrity():
     )
     model = MomentModel(cfg, seed=40)
     rng = np.random.default_rng(41)
-    visual = Tensor(rng.normal(size=(4, 6)))
-    audio = Tensor(rng.normal(size=(4, 5)))
-    text = Tensor(rng.normal(size=(3, 4)))
+    # a stack of one sample, the shape every forward runs
+    visual = Tensor(rng.normal(size=(1, 4, 6)))
+    audio = Tensor(rng.normal(size=(1, 4, 5)))
+    text = Tensor(rng.normal(size=(1, 3, 4)))
     targets = build_targets([MomentAnnotation(2.2, 2.5)], rng.uniform(0.1, 0.9, 4), 4)
 
     def loss_fn():
         joint = model.encode_features(visual, audio)
         queries = model.generate_queries(joint, text)
-        preds = model.decode(joint, queries)
+        (preds,) = model.decode(joint, queries)
         l_s = saliency_loss(preds.saliency, targets.saliency_targets)
         l_c = focal_center_loss(preds.heatmap, targets.heatmap, targets.n_moments)
         l_w, l_o = regression_losses(preds.window, preds.offset, targets)

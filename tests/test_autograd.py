@@ -329,6 +329,18 @@ def test_broadcast_to_and_unstack_gradients():
     pieces = ag.unstack(ag.broadcast_to(x, (2, 3, 4)))
     assert [p.data.tobytes() for p in pieces] == [x.data.tobytes()] * 2
 
+    # a trailing axis of size 1 is dropped: (B, N, 1) heads split into (N,) rows
+    heads = ag.Tensor(rng.normal(size=(2, 3, 1)), requires_grad=True)
+
+    def head_loss():
+        first, second = ag.unstack(ag.mul(heads, heads))
+        return ag.add(ag.sum_(ag.mul(first, rows[0, :, 0])), ag.sum_(ag.mul(second, rows[1, :, 1])))
+
+    fd_check(head_loss, [("heads", heads)])
+    pieces = ag.unstack(heads)
+    assert [p.shape for p in pieces] == [(3,)] * 2
+    assert [p.data.tobytes() for p in pieces] == [heads.data[i, :, 0].tobytes() for i in range(2)]
+
 
 def test_a_stack_equals_its_samples_one_by_one():
     """Stacked linear, matmul, broadcast add and layer norm give each sample its own values, and
@@ -372,17 +384,6 @@ def test_stacked_attention_runs_each_samples_float_ops():
         ag.backward(ag.sum_(ag.mul(got, mix[i])))
         for t, stacked in zip(alone, (q, k, v)):
             assert t.grad.tobytes() == stacked.grad[i].tobytes()
-
-
-def test_reshape_gradients():
-    rng = np.random.default_rng(14)
-    x = ag.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    w = ag.Tensor(rng.normal(size=(6, 4)))
-
-    def loss():
-        return ag.sum_(ag.mul(ag.reshape(ag.mul(x, x), (6, 4)), w))
-
-    fd_check(loss, [("x", x)])
 
 
 def test_backward_requires_scalar():

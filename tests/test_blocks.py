@@ -114,7 +114,7 @@ def test_positions_never_reach_the_value_path():
     np.testing.assert_array_equal(plain.data, shifted.data)
 
 
-def test_scaled_flag_equals_rescaled_query_weights():
+def test_score_scale_equals_query_weights_rescaled_by_inverse_sqrt_head_dim():
     dim, n_heads = 8, 2
     head_dim = dim // n_heads
     params = make_params(dim, n_heads, seed=6)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from momentkit import decode as dec
-from momentkit.data import MomentAnnotation
+from momentkit.data import DataError, MomentAnnotation
 from momentkit.losses import build_targets
 
 
@@ -135,3 +137,16 @@ def test_prediction_records_roundtrip_through_json_lines(tmp_path):
     dec.write_predictions(path, recs)
     back = dec.read_predictions(path)
     assert back == recs
+
+
+@pytest.mark.parametrize("line, detail", [
+    ('{"id": "a"}', "KeyError: 'moments'"),
+    ('{"id": "a", "moments": [', "JSONDecodeError"),
+    ('["a", [], []]', "TypeError"),
+])
+def test_a_malformed_predictions_line_is_a_data_error(tmp_path, line, detail):
+    path = tmp_path / "preds.jsonl"
+    good = dec.PredictionRecord("v", [dec.MomentPrediction(0.0, 1.0, 0.5)], [0.5]).to_json_line()
+    path.write_text(f"{good}\n\n{line}\n")
+    with pytest.raises(DataError, match=rf"preds\.jsonl: line 3: .*{re.escape(detail)}"):
+        dec.read_predictions(path)

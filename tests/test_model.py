@@ -22,7 +22,7 @@ from momentkit.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from momentkit.train import predict, sample_loss
+from momentkit.train import predict, sample_loss, stack_losses
 
 SMALL = dict(
     model_dim=8, heads=2, uni_layers=1, cross_layers=1, decoder_layers=1,
@@ -111,13 +111,21 @@ def test_a_stacked_forward_equals_each_samples_forward(overrides):
     model = MomentModel(small_config(**overrides), seed=4)
     samples = [make_sample(n_clips=7, seed=20 + i, with_text=overrides.get("use_text", True),
                            with_audio=overrides.get("use_audio", True)) for i in range(3)]
-    stacked = model.forward(samples)
-    rows = stacked.unstack()
+    rows = model.forward(samples)
+    assert len(rows) == 3
     for sample, row in zip(samples, rows):
         alone = model.forward(sample)
         for field in ("saliency", "heatmap", "window", "offset"):
-            assert getattr(stacked, field).shape == (3, 7)
+            assert getattr(row, field).shape == (7,)
             np.testing.assert_allclose(getattr(row, field).data, getattr(alone, field).data, rtol=1e-12, atol=1e-14)
+
+
+def test_decode_needs_a_stack():
+    """Unstacked (N, dim) queries would split into N one-clip predictions; they are a ShapeError instead."""
+    model = MomentModel(small_config(), seed=4)
+    flat = Tensor(np.zeros((6, 8)))
+    with pytest.raises(ag.ShapeError, match="stacks"):
+        model.decode(flat, flat)
 
 
 def test_a_stack_needs_samples_of_one_shape():
@@ -142,6 +150,22 @@ def test_training_forward_tape_node_count():
     targets = build_targets(sample.moments, sample.saliency, sample.n_clips)
     loss, _ = sample_loss(model, sample, targets, LossWeights(), RngState(11))
     assert len(ag._topo_order(loss)) == 254
+
+
+def test_stacked_training_forward_tape_node_count():
+    """The interior nodes of a three-sample stack's training forward, its losses and their sum.
+
+    Through the head activations the stack's forward is 126 nodes, as one
+    sample's is. Each (B, N, 1) head then splits into one (N,) node per
+    sample (12 nodes; 16 when each head was reshaped first), each sample's
+    four losses and total are five nodes (15), and two adds sum them.
+    """
+    model = MomentModel(small_config(), seed=4)
+    stack = [make_sample(seed=5 + i) for i in range(3)]
+    losses = stack_losses(model, stack, [build_targets(s.moments, s.saliency, s.n_clips) for s in stack],
+                          LossWeights(), RngState(11))
+    total = ag.add(ag.add(losses[0][0], losses[1][0]), losses[2][0])
+    assert sum(isinstance(v, ag._Node) for v in ag._topo_order(total)) == 155
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +237,10 @@ def test_forward_matches_blockwise_composition():
 def test_no_text_queries_are_joint_plus_seed_positions():
     model = MomentModel(small_config(use_text=False), seed=10)
     sample = make_sample(seed=11, with_text=False)
-    feats = model._sample_tensors(sample)
+    feats = model._sample_tensors([sample])
     joint = model.encode_features(feats["visual"], feats["audio"])
     queries = model.generate_queries(joint, None)
-    want = joint.data + model.query_seed_pos.table.data[: joint.shape[0]]
+    want = joint.data + model.query_seed_pos.table.data[: joint.shape[-2]]
     np.testing.assert_allclose(queries.data, want, atol=1e-12)
 
 
@@ -224,7 +248,7 @@ def test_single_text_token_has_closed_form():
     # one key token: softmax weight is exactly 1 regardless of scores
     model = MomentModel(small_config(), seed=12)
     sample = make_sample(seed=13, n_text=1)
-    feats = model._sample_tensors(sample)
+    feats = model._sample_tensors([sample])
     joint = model.encode_features(feats["visual"], feats["audio"])
     queries = model.generate_queries(joint, feats["text"])
     qg = model.query_generator[0]
@@ -238,12 +262,12 @@ def test_gradients_reach_text_features_from_every_head():
     model = MomentModel(small_config(), seed=14)
     sample = make_sample(seed=15)
     for field in ("saliency", "heatmap", "window", "offset"):
-        feats = model._sample_tensors(sample)
+        feats = model._sample_tensors([sample])
         text = feats["text"]
         text.requires_grad = True
         joint = model.encode_features(feats["visual"], feats["audio"])
         queries = model.generate_queries(joint, text)
-        preds = model.decode(joint, queries)
+        (preds,) = model.decode(joint, queries)
         ag.backward(ag.sum_(getattr(preds, field)))
         assert np.linalg.norm(text.grad) > 0.0, field
 
@@ -344,12 +368,12 @@ def test_full_model_finite_difference():
     model = MomentModel(small_config(), seed=30)
     sample = make_sample(n_clips=4, seed=31)
     targets = build_targets(sample.moments, sample.saliency, n_clips=4)
-    feats = model._sample_tensors(sample)
+    feats = model._sample_tensors([sample])
 
     def loss_fn():
         joint = model.encode_features(feats["visual"], feats["audio"])
         queries = model.generate_queries(joint, feats["text"])
-        preds = model.decode(joint, queries)
+        (preds,) = model.decode(joint, queries)
         l_s = saliency_loss(preds.saliency, targets.saliency_targets)
         l_c = focal_center_loss(preds.heatmap, targets.heatmap, targets.n_moments)
         l_w, l_o = regression_losses(preds.window, preds.offset, targets)

@@ -251,7 +251,11 @@ class RecordedStream(RngState):
 
 
 class ReplayedStream(RngState):
-    """Hands out row ``row`` of each recorded stacked draw in turn: one sample's share of the stack's masks."""
+    """Hands out row ``row`` of each recorded stacked draw in turn, as a stack of one.
+
+    That is one sample's share of the stack's masks; each draw must have the
+    shape the lone forward asks for.
+    """
 
     def __init__(self, draws, row):
         super().__init__(0)
@@ -259,7 +263,7 @@ class ReplayedStream(RngState):
         self._row = row
 
     def random(self, shape=None):
-        out = next(self._draws)[self._row]
+        out = next(self._draws)[self._row : self._row + 1]
         assert out.shape == shape
         return out
 
