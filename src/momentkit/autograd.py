@@ -27,9 +27,9 @@ Design constraints:
     stack and ``broadcast_to`` repeats a parameter over it, each summing its
     gradient back over the stack; ``unstack`` splits the (B, N, 1) heads into
     one (N,) node per sample; ``sum_`` sums every element
-  * ``attend`` is multi-head attention as one tape node: it computes the heads
-    one at a time, sample by sample in a stack, each head's (Nq, Nk) scores
-    built, softmaxed and mixed in one buffer
+  * ``attend`` is multi-head attention over (B, N, dim) stacks as one tape
+    node: it computes the heads one at a time, each head's (B, Nq, Nk) scores
+    for the whole stack built, softmaxed and mixed by batched products
   * an operand that needs no gradient gets none: ``mul``, ``matmul`` and
     ``linear`` neither compute its gradient nor keep the other operand's data
     for it
@@ -454,60 +454,55 @@ def _softmax_grad(g: np.ndarray, data: np.ndarray, scale: float) -> np.ndarray:
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tensor:
-    """Multi-head attention over (N, dim) projections: softmax(scale * q_h k_h^T) v_h per head.
+    """Multi-head attention over (B, N, dim) stacks: softmax(scale * q_h k_h^T) v_h per head and sample.
 
     Head h owns columns [h*head_dim, (h+1)*head_dim) of q, k, v and of the
-    (Nq, dim) output. Its (Nq, Nk) scores are built, softmaxed and mixed while
-    they sit in cache, one head at a time. Without a tape every head reuses
-    one score buffer; with one, the (heads, Nq, Nk) weights are kept for
-    backward, which runs the same float ops head by head. Projections with a
-    leading sample axis, (B, N, dim), attend sample by sample, each sample's
-    heads by the same float ops as its own (N, dim) call.
+    (B, Nq, dim) output. Its (B, Nq, Nk) scores are built by one batched
+    product over the stack, softmaxed in place and mixed by another, one head
+    at a time. Without a tape every head reuses one score buffer; with one,
+    the (heads, B, Nq, Nk) weights are kept for backward, which runs the same
+    float ops head by head over the whole stack. Each sample gets the float
+    ops of its own stack of one.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    if q.data.ndim not in (2, 3) or k.data.ndim != q.data.ndim or k.shape[:-2] != q.shape[:-2] \
-            or v.shape != k.shape or k.shape[-1] != q.shape[-1] or q.shape[-1] % n_heads:
-        raise ShapeError(f"attend needs (Nq, d), (Nk, d) and (Nk, d), each with the same leading sample axis "
-                         f"or none, and d divisible by {n_heads} heads, got {q.shape}, {k.shape} and {v.shape}")
-    q_shape, k_shape = q.shape, k.shape
-    q_data, k_data, v_data = (t.data if t.data.ndim == 3 else t.data[None] for t in (q, k, v))
-    n_s, n_q, dim = q_data.shape
-    n_k = k_data.shape[1]
+    if q.data.ndim != 3 or k.data.ndim != 3 or k.shape[0] != q.shape[0] or v.shape != k.shape \
+            or k.shape[-1] != q.shape[-1] or q.shape[-1] % n_heads:
+        raise ShapeError(f"attend needs (B, Nq, d), (B, Nk, d) and (B, Nk, d) stacks of one sample count, "
+                         f"and d divisible by {n_heads} heads, got {q.shape}, {k.shape} and {v.shape}")
+    q_data, k_data, v_data = q.data, k.data, v.data
+    n_s, n_q, dim = q.shape
+    n_k = k.shape[1]
     global _mac_count
     _mac_count += 2 * n_s * n_q * n_k * dim
     head_dim = dim // n_heads
     heads = [slice(h * head_dim, (h + 1) * head_dim) for h in range(n_heads)]
 
-    def k_t(s: int, cols: slice) -> np.ndarray:
-        # k_h^T copied row-major: BLAS picks its kernel, and with it the
-        # rounding, by operand layout; this one matches the per-head oracle
-        return np.ascontiguousarray(k_data[s][:, cols].T)
+    def k_t(cols: slice) -> np.ndarray:
+        # each sample's k_h^T copied row-major: BLAS picks its kernel, and with
+        # it the rounding, by operand layout; this one matches the per-head oracle
+        return np.ascontiguousarray(k_data[:, :, cols].transpose(0, 2, 1))
 
     taped = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
-    weights = np.empty((n_s, n_heads, n_q, n_k) if taped else (1, 1, n_q, n_k))
+    weights = np.empty((n_heads if taped else 1, n_s, n_q, n_k))
     out = np.empty((n_s, n_q, dim))
-    for s in range(n_s):
-        q_s, v_s, out_s = q_data[s], v_data[s], out[s]
-        for h, cols in enumerate(heads):
-            w = weights[s, h] if taped else weights[0, 0]
-            np.matmul(q_s[:, cols], k_t(s, cols), out=w)
-            w *= scale
-            _softmax_(w)
-            np.matmul(w, v_s[:, cols], out=out_s[:, cols])
+    for h, cols in enumerate(heads):
+        w = weights[h] if taped else weights[0]
+        np.matmul(q_data[:, :, cols], k_t(cols), out=w)
+        w *= scale
+        _softmax_(w)
+        np.matmul(w, v_data[:, :, cols], out=out[:, :, cols])
 
     def backward(g):
-        g = g.reshape(n_s, n_q, dim)
         gq, gk, gv = np.empty_like(q_data), np.empty_like(k_data), np.empty_like(v_data)
-        for s in range(n_s):
-            g_s, q_s, v_s, gq_s, gk_s, gv_s = g[s], q_data[s], v_data[s], gq[s], gk[s], gv[s]
-            for h, cols in enumerate(heads):
-                np.matmul(weights[s, h].T, g_s[:, cols], out=gv_s[:, cols])
-                gs = _softmax_grad(g_s[:, cols] @ v_s[:, cols].T, weights[s, h], scale)
-                np.matmul(gs, k_t(s, cols).T, out=gq_s[:, cols])
-                gk_s[:, cols] = (q_s[:, cols].T @ gs).T
-        return gq.reshape(q_shape), gk.reshape(k_shape), gv.reshape(k_shape)
+        for h, cols in enumerate(heads):
+            w, g_h = weights[h], g[:, :, cols]
+            np.matmul(w.transpose(0, 2, 1), g_h, out=gv[:, :, cols])
+            gs = _softmax_grad(g_h @ v_data[:, :, cols].transpose(0, 2, 1), w, scale)
+            np.matmul(gs, k_t(cols).transpose(0, 2, 1), out=gq[:, :, cols])
+            gk[:, :, cols] = (q_data[:, :, cols].transpose(0, 2, 1) @ gs).transpose(0, 2, 1)
+        return gq, gk, gv
 
-    return _make(out.reshape(q_shape), (q, k, v), backward)
+    return _make(out, (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------

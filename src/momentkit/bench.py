@@ -27,10 +27,10 @@ def measure_bottleneck_macs(n_clips: int, dim: int = BENCH_DIM, heads: int = BEN
     comp = AttentionParams(dim, heads, rng)
     expd = AttentionParams(dim, heads, rng)
     tokens = BottleneckTokens(n_tokens, dim, rng)
-    x = Tensor(rng.normal((n_clips, dim)))
+    x = Tensor(rng.normal((1, n_clips, dim)))
     with ag.no_grad():
         ag.reset_mac_count()
-        z = compress(x, tokens.value(), comp)
+        z = compress(x, tokens.value((1,)), comp)
         expand(x, z, expd)
         return ag.mac_count()
 
@@ -39,7 +39,7 @@ def measure_full_attention_macs(n_clips: int, dim: int = BENCH_DIM, heads: int =
     """MACs for one all-pairs self-attention over the same sequence (reference)."""
     rng = RngState(0)
     params = AttentionParams(dim, heads, rng)
-    x = Tensor(rng.normal((n_clips, dim)))
+    x = Tensor(rng.normal((1, n_clips, dim)))
     with ag.no_grad():
         ag.reset_mac_count()
         attention(params, x, x, residual=x)

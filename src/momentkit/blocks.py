@@ -12,18 +12,18 @@ All three share one primitive: out_i = res_i + W_z · sum_j a_ij · (v_j W_v)
 with a_ij = softmax_j(s · (q_i W_q) · (k_j W_k)) per head, where the score
 scale s is 1/sqrt(head_dim). The heads are computed one at a time inside a
 single ``ag.attend`` op, which builds, softmaxes and mixes each head's scores
-while they sit in cache. Learnable positional encodings are added to the
-*inputs* of the query/key projections only — never to the values — and each
-wiring chooses which side receives them.
+for the whole stack by batched products. Learnable positional encodings are
+added to the *inputs* of the query/key projections only — never to the
+values — and each wiring chooses which side receives them.
 
 Each ``AttentionParams`` owns its dropout rate and score scale, and each
 ``FeedForward`` its dropout rate; both are fixed when the block is built.
 Dropout runs exactly when a dropout stream (``rng``) is passed: training
 passes one, inference passes none and draws nothing.
 
-Sequences are (N, dim) float64 tensors for one sample, or (B, N, dim) for a
-stack of B samples of one shape; positional rows and bottleneck tokens are
-(N, dim) tables that broadcast over the stack.
+Sequences are (B, N, dim) float64 stacks of B samples of one shape, a lone
+sample as a stack of one; positional rows are (N, dim) tables that broadcast
+over the stack, and the bottleneck tokens are repeated over it.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ class BottleneckTokens(Module):
     def __init__(self, n_tokens: int, dim: int, rng: RngState):
         self.tokens = Tensor(rng.normal((n_tokens, dim), scale=0.02), requires_grad=True)
 
-    def value(self, stack: tuple[int, ...] = ()) -> Tensor:
-        """The tokens, repeated over the leading ``stack`` axes of a stacked forward."""
+    def value(self, stack: tuple[int, ...]) -> Tensor:
+        """The tokens as a stack: repeated over the leading ``stack`` axes, ``(B,)`` for B samples."""
         # a node per call sums each forward's token gradients before they reach
         # the parameter; that summation order is part of the checkpoint bytes
         return ag.broadcast_to(self.tokens, (*stack, *self.tokens.shape))

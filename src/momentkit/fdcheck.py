@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autograd import Tensor, backward
+from .autograd import Tensor, backward, no_grad
 
 
 def rel_err(analytic: float, numeric: float, floor: float) -> float:
@@ -46,8 +46,10 @@ def check_gradients(
 
     ``loss_fn`` must rebuild the graph (and re-seed any internal randomness)
     on every call so that repeated evaluations are deterministic functions of
-    the parameter values. When ``max_coords_per_param`` is given, that many
-    coordinates are sampled per parameter instead of sweeping all of them.
+    the parameter values. Only the first call is differentiated; the perturbed
+    evaluations run under ``no_grad``, so they build no tape. When
+    ``max_coords_per_param`` is given, that many coordinates are sampled per
+    parameter instead of sweeping all of them.
     """
     for _, p in params:
         p.zero_grad()
@@ -68,10 +70,11 @@ def check_gradients(
         ga = analytic[name].reshape(-1)
         for i in coords:
             orig = flat[i]
-            flat[i] = orig + step
-            up = float(loss_fn().data.reshape(()))
-            flat[i] = orig - step
-            down = float(loss_fn().data.reshape(()))
+            with no_grad():
+                flat[i] = orig + step
+                up = float(loss_fn().data.reshape(()))
+                flat[i] = orig - step
+                down = float(loss_fn().data.reshape(()))
             flat[i] = orig
             numeric = (up - down) / (2.0 * step)
             err = rel_err(float(ga[i]), numeric, floor)

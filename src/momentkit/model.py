@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from .autograd import RngState, ShapeError, Tensor
+from .autograd import RngState, Tensor
 from .blocks import (
     AttentionParams,
     BottleneckTokens,
@@ -316,12 +316,12 @@ class MomentModel(Module):
     def encode_features(self, visual: Tensor | None, audio: Tensor | None, rng: RngState | None = None) -> Tensor:
         """Fuse (B, N, dim) modality features into the joint (B, N_v, model_dim) sequences."""
         cfg = self.config
-        streams: dict[str, tuple[Tensor, Tensor]] = {}
-        for name, feats in (("visual", visual), ("audio", audio)):
-            if not getattr(cfg, f"use_{name}"):
-                continue
+        enabled = {name: feats for name, feats in (("visual", visual), ("audio", audio)) if getattr(cfg, f"use_{name}")}
+        for name, feats in enabled.items():
             if feats is None:
                 raise ConfigError(f"{name} modality enabled but features are missing")
+        streams: dict[str, tuple[Tensor, Tensor]] = {}
+        for name, feats in enabled.items():
             x = ag.dropout(feats, cfg.pre_dropout_av, rng)
             x = getattr(self, f"{name}_proj")(x)
             pos = getattr(self, f"{name}_pos").rows(x.shape[-2])
@@ -359,8 +359,6 @@ class MomentModel(Module):
 
     def decode(self, joint: Tensor, queries: Tensor, rng: RngState | None = None) -> list[RawPredictions]:
         """Run the query decoder and the four heads over a (B, N, dim) stack: one sample's predictions per row."""
-        if queries.data.ndim != 3:
-            raise ShapeError(f"decode needs (B, N, dim) stacks, got queries of shape {queries.shape}")
         n = queries.shape[-2]
         q_pos = self.query_pos.rows(n)
         m_pos = self.memory_pos.rows(n)

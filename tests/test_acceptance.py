@@ -93,15 +93,15 @@ def test_criterion_2_equation_oracles():
         pos_x = rng.normal(size=(n_x, dim)) * 0.1
         px = Tensor(pos_x)
 
-        got = blocks.self_attention(Tensor(x), params, pos=px).data
+        got = blocks.self_attention(Tensor(x[None]), params, pos=px).data[0]
         want = naive_attention(*w, x, x, x, x, heads, q_pos=pos_x, k_pos=pos_x)
         worst = max(worst, float(np.abs(got - want).max()))
 
-        got = blocks.compress(Tensor(x), Tensor(z), params, pos=px).data
+        got = blocks.compress(Tensor(x[None]), Tensor(z[None]), params, pos=px).data[0]
         want = naive_attention(*w, z, x, x, z, heads, k_pos=pos_x)  # positions feed keys only
         worst = max(worst, float(np.abs(got - want).max()))
 
-        got = blocks.expand(Tensor(x), Tensor(z), params, pos=px).data
+        got = blocks.expand(Tensor(x[None]), Tensor(z[None]), params, pos=px).data[0]
         want = naive_attention(*w, x, z, z, x, heads, q_pos=pos_x)  # positions feed queries only
         worst = max(worst, float(np.abs(got - want).max()))
     ok = worst < 1e-10

@@ -69,8 +69,8 @@ def test_mac_counter_counts_forward_only():
 
 def attend_softmax(x):
     """Row softmax of finite ``x`` through ``attend``: with identity keys and values, its output is its weights."""
-    eye = ag.Tensor(np.eye(x.shape[1]))
-    return ag.attend(ag.Tensor(x), eye, eye, 1, 1.0).data
+    eye = ag.Tensor(np.eye(x.shape[1])[None])
+    return ag.attend(ag.Tensor(x[None]), eye, eye, 1, 1.0).data[0]
 
 
 def test_softmax_rows_sum_to_one():
@@ -91,10 +91,10 @@ def test_softmax_is_shift_invariant_and_stable():
 @pytest.mark.parametrize("n_heads,scale", [(1, 1.0), (1, 0.5), (4, 1.0), (4, 0.5)])
 def test_attend_gradients(n_heads, scale):
     rng = np.random.default_rng(40 + n_heads)
-    q = ag.Tensor(rng.normal(size=(3, 8)), requires_grad=True)
-    k = ag.Tensor(rng.normal(size=(5, 8)), requires_grad=True)
-    v = ag.Tensor(rng.normal(size=(5, 8)), requires_grad=True)
-    w = ag.Tensor(rng.normal(size=(3, 8)))
+    q = ag.Tensor(rng.normal(size=(3, 8))[None], requires_grad=True)
+    k = ag.Tensor(rng.normal(size=(5, 8))[None], requires_grad=True)
+    v = ag.Tensor(rng.normal(size=(5, 8))[None], requires_grad=True)
+    w = ag.Tensor(rng.normal(size=(3, 8))[None])
 
     def loss():
         return ag.sum_(ag.mul(ag.attend(q, k, v, n_heads, scale), w))
@@ -105,7 +105,7 @@ def test_attend_gradients(n_heads, scale):
 def test_attend_is_softmax_of_scaled_scores_per_head():
     rng = np.random.default_rng(44)
     q, k, v = rng.normal(size=(3, 8)), rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
-    out = ag.attend(ag.Tensor(q), ag.Tensor(k), ag.Tensor(v), 2, 0.5).data
+    out = ag.attend(ag.Tensor(q[None]), ag.Tensor(k[None]), ag.Tensor(v[None]), 2, 0.5).data[0]
     for cols in (slice(0, 4), slice(4, 8)):
         scores = 0.5 * (q[:, cols] @ k[:, cols].T)
         weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -115,22 +115,25 @@ def test_attend_is_softmax_of_scaled_scores_per_head():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_attend_rejects_non_finite_scores(bad):
-    q = np.ones((2, 4))
-    k = np.ones((3, 4))
-    k[1, 2] = bad  # reaches every score of the second head's second column
-    with pytest.raises(ag.NumericError):
-        ag.attend(ag.Tensor(q), ag.Tensor(k), ag.Tensor(np.ones((3, 4))), 2, 1.0)
-    with ag.no_grad(), pytest.raises(ag.NumericError):
-        ag.attend(ag.Tensor(q, requires_grad=True), ag.Tensor(k), ag.Tensor(np.ones((3, 4))), 2, 1.0)
+    for n_s in (1, 3):  # a lone sample, and a stack where only sample 1's keys are bad
+        q = np.ones((n_s, 2, 4))
+        k = np.ones((n_s, 3, 4))
+        k[n_s // 2, 1, 2] = bad  # reaches every score of that sample's second head, second column
+        with pytest.raises(ag.NumericError):
+            ag.attend(ag.Tensor(q), ag.Tensor(k), ag.Tensor(np.ones((n_s, 3, 4))), 2, 1.0)
+        with ag.no_grad(), pytest.raises(ag.NumericError):
+            ag.attend(ag.Tensor(q, requires_grad=True), ag.Tensor(k), ag.Tensor(np.ones((n_s, 3, 4))), 2, 1.0)
 
 
 def test_attend_counts_both_products_and_checks_shapes():
     ag.reset_mac_count()
-    ag.attend(ag.Tensor(np.ones((3, 8))), ag.Tensor(np.ones((5, 8))), ag.Tensor(np.ones((5, 8))), 4, 1.0)
+    ag.attend(ag.Tensor(np.ones((1, 3, 8))), ag.Tensor(np.ones((1, 5, 8))), ag.Tensor(np.ones((1, 5, 8))), 4, 1.0)
     assert ag.mac_count() == 2 * 3 * 5 * 8
-    ones = ag.Tensor(np.ones((5, 8)))
-    for q, k, v, heads in [(np.ones((3, 8)), ones, ones, 3), (np.ones((3, 6)), ones, ones, 2),
-                           (np.ones((3, 8)), ones, ag.Tensor(np.ones((4, 8))), 2), (np.ones(8), ones, ones, 2)]:
+    ones = ag.Tensor(np.ones((1, 5, 8)))
+    flat = ag.Tensor(np.ones((5, 8)))
+    for q, k, v, heads in [(np.ones((1, 3, 8)), ones, ones, 3), (np.ones((1, 3, 6)), ones, ones, 2),
+                           (np.ones((1, 3, 8)), ones, ag.Tensor(np.ones((1, 4, 8))), 2), (np.ones(8), ones, ones, 2),
+                           (np.ones((3, 8)), flat, flat, 2), (np.ones((2, 3, 8)), ones, ones, 2)]:
         with pytest.raises(ag.ShapeError):
             ag.attend(ag.Tensor(q), k, v, heads, 1.0)
 
@@ -370,6 +373,7 @@ def test_a_stack_equals_its_samples_one_by_one():
 
 
 def test_stacked_attention_runs_each_samples_float_ops():
+    """Taped or not, a stack gives each sample the bytes of its own stack of one, gradients included."""
     rng = np.random.default_rng(17)
     n_s, n_q, n_k, d = 3, 5, 4, 8
     q = ag.Tensor(rng.normal(size=(n_s, n_q, d)), requires_grad=True)
@@ -377,11 +381,15 @@ def test_stacked_attention_runs_each_samples_float_ops():
     mix = rng.normal(size=(n_s, n_q, d))
     out = ag.attend(q, k, v, 2, 0.5)
     ag.backward(ag.sum_(ag.mul(out, mix)))
+    with ag.no_grad():
+        assert ag.attend(q, k, v, 2, 0.5).data.tobytes() == out.data.tobytes()
     for i in range(n_s):
-        alone = [ag.Tensor(t.data[i], requires_grad=True) for t in (q, k, v)]
+        alone = [ag.Tensor(t.data[i:i + 1], requires_grad=True) for t in (q, k, v)]
         got = ag.attend(*alone, 2, 0.5)
         assert got.data.tobytes() == out.data[i].tobytes()
-        ag.backward(ag.sum_(ag.mul(got, mix[i])))
+        with ag.no_grad():
+            assert ag.attend(*alone, 2, 0.5).data.tobytes() == out.data[i].tobytes()
+        ag.backward(ag.sum_(ag.mul(got, mix[i:i + 1])))
         for t, stacked in zip(alone, (q, k, v)):
             assert t.grad.tobytes() == stacked.grad[i].tobytes()
 

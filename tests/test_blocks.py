@@ -65,21 +65,21 @@ def test_attention_wirings_match_naive_oracle(wiring):
         w = {k: getattr(params, k).data for k in ("w_q", "w_k", "w_v", "w_z")}
 
         if wiring == "self":
-            got = blocks.self_attention(Tensor(x), params, pos=pos_t)
+            got = blocks.self_attention(Tensor(x[None]), params, pos=pos_t)
             want = naive_attention(w["w_q"], w["w_k"], w["w_v"], w["w_z"],
                                    x, x, x, residual=x, n_heads=n_heads,
                                    q_pos=pos, k_pos=pos)
         elif wiring == "compress":
-            got = blocks.compress(Tensor(x), Tensor(z), params, pos=pos_t)
+            got = blocks.compress(Tensor(x[None]), Tensor(z[None]), params, pos=pos_t)
             want = naive_attention(w["w_q"], w["w_k"], w["w_v"], w["w_z"],
                                    z, x, x, residual=z, n_heads=n_heads,
                                    q_pos=None, k_pos=pos)
         else:
-            got = blocks.expand(Tensor(x), Tensor(z), params, pos=pos_t)
+            got = blocks.expand(Tensor(x[None]), Tensor(z[None]), params, pos=pos_t)
             want = naive_attention(w["w_q"], w["w_k"], w["w_v"], w["w_z"],
                                    x, z, z, residual=x, n_heads=n_heads,
                                    q_pos=pos, k_pos=None)
-        err = np.max(np.abs(got.data - want))
+        err = np.max(np.abs(got.data[0] - want))
         assert err < ORACLE_TOL, f"trial {trial}: max abs err {err:.3e}"
         matched += 1
     assert matched == 100
@@ -95,8 +95,8 @@ def test_uniform_weights_reduce_to_neighbourhood_mean():
     params.w_v.data[:] = np.eye(dim)
     params.w_z.data[:] = np.eye(dim)
     x = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-    out = blocks.self_attention(Tensor(x), params)
-    np.testing.assert_allclose(out.data, x + x.mean(axis=0), atol=1e-14)
+    out = blocks.self_attention(Tensor(x[None]), params)
+    np.testing.assert_allclose(out.data[0], x + x.mean(axis=0), atol=1e-14)
 
 
 def test_positions_never_reach_the_value_path():
@@ -109,8 +109,8 @@ def test_positions_never_reach_the_value_path():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(5, dim))
     huge_pos = Tensor(rng.normal(size=(5, dim)) * 1e3)
-    plain = blocks.self_attention(Tensor(x), params)
-    shifted = blocks.self_attention(Tensor(x), params, pos=huge_pos)
+    plain = blocks.self_attention(Tensor(x[None]), params)
+    shifted = blocks.self_attention(Tensor(x[None]), params, pos=huge_pos)
     np.testing.assert_array_equal(plain.data, shifted.data)
 
 
@@ -120,11 +120,11 @@ def test_score_scale_equals_query_weights_rescaled_by_inverse_sqrt_head_dim():
     params = make_params(dim, n_heads, seed=6)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, dim))
-    scaled_out = blocks.self_attention(Tensor(x), params)
+    scaled_out = blocks.self_attention(Tensor(x[None]), params)
     unscaled = make_params(dim, n_heads, seed=6)
     unscaled.scale = 1.0
     unscaled.w_q.data[:] = unscaled.w_q.data / math.sqrt(head_dim)
-    manual = blocks.self_attention(Tensor(x), unscaled)
+    manual = blocks.self_attention(Tensor(x[None]), unscaled)
     np.testing.assert_allclose(scaled_out.data, manual.data, atol=1e-12)
 
 
@@ -132,8 +132,8 @@ def test_zero_output_projection_is_identity():
     params = make_params(8, 4, seed=8)
     params.w_z.data[:] = 0.0
     x = np.random.default_rng(9).normal(size=(3, 8))
-    out = blocks.self_attention(Tensor(x), params)
-    np.testing.assert_array_equal(out.data, x)
+    out = blocks.self_attention(Tensor(x[None]), params)
+    np.testing.assert_array_equal(out.data[0], x)
 
 
 def test_attention_gradients_all_wirings():
@@ -141,10 +141,10 @@ def test_attention_gradients_all_wirings():
     rng = np.random.default_rng(10)
     params = make_params(dim, n_heads, seed=11)
     norm_x, norm_z = blocks.LayerNorm(dim), blocks.LayerNorm(dim)
-    x = Tensor(rng.normal(size=(4, dim)), requires_grad=True)
-    z = Tensor(rng.normal(size=(2, dim)), requires_grad=True)
+    x = Tensor(rng.normal(size=(4, dim))[None], requires_grad=True)
+    z = Tensor(rng.normal(size=(2, dim))[None], requires_grad=True)
     pos = Tensor(rng.normal(size=(4, dim)), requires_grad=True)
-    w = Tensor(rng.normal(size=(4, dim)))
+    w = Tensor(rng.normal(size=(4, dim))[None])
 
     def loss():
         h = blocks.self_attention(x, params, pos=pos, norm=norm_x)
@@ -219,14 +219,14 @@ def test_batched_heads_equal_the_per_head_loop_bitwise(dim, n_heads, n_q, n_k):
     rng = np.random.default_rng(dim + n_q)
     q, kv, q_pos, k_pos = (rng.normal(size=(n, dim)) for n in (n_q, n_k, n_q, n_k))
     params = make_params(dim, n_heads, seed=n_k)
-    got = blocks.attention(params, Tensor(q), Tensor(kv), residual=Tensor(q),
+    got = blocks.attention(params, Tensor(q[None]), Tensor(kv[None]), residual=Tensor(q[None]),
                            q_pos=Tensor(q_pos), k_pos=Tensor(k_pos))
-    np.testing.assert_array_equal(got.data, looped_attention(params, q, kv, q, q_pos, k_pos))
+    np.testing.assert_array_equal(got.data[0], looped_attention(params, q, kv, q, q_pos, k_pos))
 
 
 def test_attention_tape_size_does_not_depend_on_head_count():
-    x = Tensor(np.random.default_rng(0).normal(size=(5, 8)), requires_grad=True)
-    z = Tensor(np.random.default_rng(1).normal(size=(2, 8)), requires_grad=True)
+    x = Tensor(np.random.default_rng(0).normal(size=(5, 8))[None], requires_grad=True)
+    z = Tensor(np.random.default_rng(1).normal(size=(2, 8))[None], requires_grad=True)
     counts = {
         heads: (len(ag._topo_order(blocks.self_attention(x, make_params(8, heads, seed=1)))),
                 len(ag._topo_order(blocks.compress(x, z, make_params(8, heads, seed=1)))))
@@ -236,17 +236,19 @@ def test_attention_tape_size_does_not_depend_on_head_count():
 
 
 def test_inference_attention_holds_one_head_of_scores_at_a_time():
-    # d256/h8 at 512 clips: the (heads, N, N) scores alone are 16 MB, one head's 2 MB
-    params = make_params(256, 8, seed=2)
-    x = Tensor(np.random.default_rng(3).normal(size=(512, 256)))
-    tracemalloc.start()
-    try:
-        with ag.no_grad():
-            blocks.self_attention(x, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    # 8 heads: d256 at 512 clips, and a stack of four d64 samples of 256 clips;
+    # the (heads, B, N, N) scores alone are 16 MB in both cases, one head's 2 MB
+    for n_s, n, dim in ((1, 512, 256), (4, 256, 64)):
+        params = make_params(dim, 8, seed=2)
+        x = Tensor(np.random.default_rng(3).normal(size=(n_s, n, dim)))
+        tracemalloc.start()
+        try:
+            with ag.no_grad():
+                blocks.self_attention(x, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"{(n_s, n, dim)}: peak {peak / 2**20:.1f} MB"
 
 
 def test_positional_table_capacity_enforced():
@@ -274,7 +276,7 @@ def test_named_parameters_is_deterministic_and_complete():
 
 def test_attention_dropout_only_active_in_training():
     params = blocks.AttentionParams(8, 2, RngState(23), drop_rate=0.5)
-    x = Tensor(np.random.default_rng(24).normal(size=(4, 8)))
+    x = Tensor(np.random.default_rng(24).normal(size=(4, 8))[None])
     eval_out = blocks.self_attention(x, params)
     eval_again = blocks.self_attention(x, params, rng=None)
     np.testing.assert_array_equal(eval_out.data, eval_again.data)
@@ -291,9 +293,9 @@ def test_single_token_self_attention_closed_form():
     # one position: the softmax weight is exactly 1, so x' = x + (x Wv) Wz
     params = make_params(6, 2, seed=30)
     x = np.random.default_rng(31).normal(size=(1, 6))
-    out = blocks.self_attention(Tensor(x), params)
+    out = blocks.self_attention(Tensor(x[None]), params)
     want = x + (x @ params.w_v.data) @ params.w_z.data
-    np.testing.assert_allclose(out.data, want, atol=1e-12)
+    np.testing.assert_allclose(out.data[0], want, atol=1e-12)
 
 
 def test_compress_over_identical_values_closed_form():
@@ -303,9 +305,9 @@ def test_compress_over_identical_values_closed_form():
     c = rng.normal(size=6)
     x = np.tile(c, (5, 1))
     z = rng.normal(size=(2, 6))
-    out = blocks.compress(Tensor(x), Tensor(z), params)
+    out = blocks.compress(Tensor(x[None]), Tensor(z[None]), params)
     want = z + (c @ params.w_v.data) @ params.w_z.data
-    np.testing.assert_allclose(out.data, want, atol=1e-12)
+    np.testing.assert_allclose(out.data[0], want, atol=1e-12)
 
 
 def test_expand_single_token_set_closed_form():
@@ -313,9 +315,9 @@ def test_expand_single_token_set_closed_form():
     rng = np.random.default_rng(35)
     x = rng.normal(size=(3, 4))
     z = rng.normal(size=(1, 4))
-    out = blocks.expand(Tensor(x), Tensor(z), params)
+    out = blocks.expand(Tensor(x[None]), Tensor(z[None]), params)
     want = x + np.tile((z @ params.w_v.data) @ params.w_z.data, (3, 1))
-    np.testing.assert_allclose(out.data, want, atol=1e-12)
+    np.testing.assert_allclose(out.data[0], want, atol=1e-12)
 
 
 def test_permutation_equivariance_without_positions():
@@ -323,12 +325,12 @@ def test_permutation_equivariance_without_positions():
     rng = np.random.default_rng(37)
     x = rng.normal(size=(6, 8))
     perm = rng.permutation(6)
-    a = blocks.self_attention(Tensor(x), params).data
-    b = blocks.self_attention(Tensor(x[perm]), params).data
+    a = blocks.self_attention(Tensor(x[None]), params).data[0]
+    b = blocks.self_attention(Tensor(x[perm][None]), params).data[0]
     np.testing.assert_allclose(a[perm], b, atol=1e-12)
     z = rng.normal(size=(3, 8))
-    ea = blocks.expand(Tensor(x), Tensor(z), params).data
-    eb = blocks.expand(Tensor(x[perm]), Tensor(z), params).data
+    ea = blocks.expand(Tensor(x[None]), Tensor(z[None]), params).data[0]
+    eb = blocks.expand(Tensor(x[perm][None]), Tensor(z[None]), params).data[0]
     np.testing.assert_allclose(ea[perm], eb, atol=1e-12)
 
 
@@ -338,8 +340,8 @@ def test_positions_break_permutation_equivariance():
     pos = blocks.PositionalEncoding(8, 8, RngState(40))
     x = rng.normal(size=(6, 8))
     perm = np.array([5, 0, 1, 2, 3, 4])
-    a = blocks.self_attention(Tensor(x), params, pos=pos.rows(6)).data
-    b = blocks.self_attention(Tensor(x[perm]), params, pos=pos.rows(6)).data
+    a = blocks.self_attention(Tensor(x[None]), params, pos=pos.rows(6)).data[0]
+    b = blocks.self_attention(Tensor(x[perm][None]), params, pos=pos.rows(6)).data[0]
     assert not np.allclose(a[perm], b)
 
 

@@ -174,10 +174,10 @@ def test_stacked_training_forward_tape_node_count():
 
 def manual_forward(model: MomentModel, sample: VideoSample):
     """Re-derive the eval-mode forward pass block by block."""
-    xv = model.visual_proj(Tensor(sample.visual.array.astype(np.float64)))
-    xa = model.audio_proj(Tensor(sample.audio.array.astype(np.float64)))
-    pv = model.visual_pos.rows(xv.shape[0])
-    pa = model.audio_pos.rows(xa.shape[0])
+    xv = model.visual_proj(Tensor(sample.visual.array.astype(np.float64)[None]))
+    xa = model.audio_proj(Tensor(sample.audio.array.astype(np.float64)[None]))
+    pv = model.visual_pos.rows(xv.shape[1])
+    pa = model.audio_pos.rows(xa.shape[1])
     lv = model.visual_encoder[0]
     xv = blocks.self_attention(xv, lv.attn, pos=pv, norm=lv.norm_attn)
     xv = lv.ff(xv, norm=lv.norm_ff)
@@ -186,7 +186,7 @@ def manual_forward(model: MomentModel, sample: VideoSample):
     xa = la.ff(xa, norm=la.norm_ff)
 
     cl = model.cross_encoder[0]
-    z = model.bottleneck.value()
+    z = model.bottleneck.value((1,))
     z = blocks.compress(xv, z, cl.compress_visual, pos=pv,
                         norm_x=cl.norm_x_compress_visual, norm_z=cl.norm_z_compress_visual)
     z = blocks.compress(xa, z, cl.compress_audio, pos=pa,
@@ -199,12 +199,12 @@ def manual_forward(model: MomentModel, sample: VideoSample):
     ea = cl.ff_audio(ea, norm=cl.norm_ff_audio)
     joint = ag.add(model.visual_out_norm(ev), model.audio_out_norm(ea))
 
-    t = model.text_proj(Tensor(sample.text.array.astype(np.float64)))
+    t = model.text_proj(Tensor(sample.text.array.astype(np.float64)[None]))
     qg = model.query_generator[0]
     ht = qg.norm_text(t)
     q = blocks.attention(qg.attn, qg.norm_joint(joint), ht, residual=joint)
 
-    n = q.shape[0]
+    n = q.shape[1]
     qp = model.query_pos.rows(n)
     mp = model.memory_pos.rows(n)
     dl = model.decoder[0]
@@ -212,12 +212,12 @@ def manual_forward(model: MomentModel, sample: VideoSample):
     q = blocks.attention(dl.cross_attn, dl.norm_query(q), joint,
                          residual=q, q_pos=qp, k_pos=mp)
     q = dl.ff(q, norm=dl.norm_ff)
-    q = model.decoder_norm(q)
+    q = model.decoder_norm(q).data[0]
     return {
-        "saliency": 1.0 / (1.0 + np.exp(-(q.data @ model.saliency_head.weight.data + model.saliency_head.bias.data).ravel())),
-        "heatmap": 1.0 / (1.0 + np.exp(-(q.data @ model.heatmap_head.weight.data + model.heatmap_head.bias.data).ravel())),
-        "window": np.logaddexp(0.0, (q.data @ model.window_head.weight.data + model.window_head.bias.data).ravel()),
-        "offset": (q.data @ model.offset_head.weight.data + model.offset_head.bias.data).ravel(),
+        "saliency": 1.0 / (1.0 + np.exp(-(q @ model.saliency_head.weight.data + model.saliency_head.bias.data).ravel())),
+        "heatmap": 1.0 / (1.0 + np.exp(-(q @ model.heatmap_head.weight.data + model.heatmap_head.bias.data).ravel())),
+        "window": np.logaddexp(0.0, (q @ model.window_head.weight.data + model.window_head.bias.data).ravel()),
+        "offset": (q @ model.offset_head.weight.data + model.offset_head.bias.data).ravel(),
     }
 
 
