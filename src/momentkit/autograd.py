@@ -18,7 +18,17 @@ that reads it is done, and a second backward through any node of a consumed
 graph is an error.
 
 Design constraints:
-  * first-order gradients only, single-threaded per graph
+  * first-order gradients only
+  * a large op runs as two halves, one on a single worker thread and one on
+    the caller (``_in_two``): ``matmul`` and ``linear`` split the rows of their
+    (..., k) operand and run their two gradient products at once, ``attend``
+    splits its query rows forward and its heads backward. Whether and where an
+    op splits follows from its shapes alone (``_cut``), never from the CPU
+    count, and each half makes the BLAS calls it would make on one CPU, so the
+    bytes do not depend on the host's CPUs. The worker starts on first use and
+    only where the process may run on more than one CPU; taping, the grad mode
+    and the MAC tally stay on the caller, and BLAS's own thread settings are
+    left alone
   * a leading sample axis runs a stack of same-shape samples as one pass
     (the model runs every forward as a stack, a lone sample as a stack of one):
     ``matmul`` and ``linear`` multiply an (..., k) operand by a 2-D (k, n)
@@ -47,6 +57,8 @@ Design constraints:
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,6 +75,64 @@ class NumericError(ValueError):
 _grad_enabled = True
 
 _mac_count = 0
+
+
+# multiply-accumulates below which an op runs whole on the caller (see ``_in_two``)
+_SPLIT_WORK = 2**20
+
+# the one worker thread of ``_in_two``: ``None`` until first use, ``False`` where
+# this process may run on only one CPU
+_worker: ThreadPoolExecutor | bool | None = None
+
+
+def _forget_worker() -> None:
+    # a forked child has no worker thread; it starts its own on first use
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _in_two(first: Callable[[], object], second: Callable[[], object]) -> tuple:
+    """``(first(), second())``, with ``first`` run on the worker thread while the caller runs ``second``.
+
+    The worker starts on first use, and only where this process may run on
+    more than one CPU; otherwise both parts run inline, first then second.
+    The calls each part makes do not depend on which of the two ways runs, so
+    neither does a byte. The parts write disjoint memory, and neither splits
+    again, builds a node, reads the grad mode or tallies MACs: that all stays
+    on the caller. Both parts finish before this returns or raises, and the
+    first part's exception wins, as it would inline.
+    """
+    global _worker
+    if _worker is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        _worker = ThreadPoolExecutor(1) if cpus > 1 else False
+    if not _worker:
+        return first(), second()
+    pending = _worker.submit(first)
+    try:
+        second_result = second()
+    finally:
+        first_result = pending.result()
+    return first_result, second_result
+
+
+def _cut(rows: int, row_macs: int) -> int:
+    """Where an op splits its ``rows`` in two, or 0 to run them whole.
+
+    ``row_macs`` is what one row costs in each BLAS call of the op. The cut is
+    half the rows rounded down to a multiple of 24, made only when every call
+    on the smaller half still does at least ``_SPLIT_WORK`` MACs. It depends
+    on shapes alone, never on the CPU count, and it keeps every byte of the
+    unsplit call: OpenBLAS runs rows in tiles whose heights divide 24 and
+    rounds a tile cut short on its own path, and it sends products of up to
+    about 10**6 MACs to another kernel (on ``SkylakeX``).
+    """
+    half = rows // 48 * 24
+    return half if half * row_macs >= _SPLIT_WORK else 0
 
 
 def reset_mac_count() -> None:
@@ -267,7 +337,8 @@ def mul(a, b) -> Tensor:
 def _product(a: Tensor, w: Tensor) -> np.ndarray:
     """``a.data @ w.data`` for an (..., k) ``a`` and a 2-D (k, n) ``w``, as one product over all of ``a``'s rows.
 
-    Tallied in the MAC counter.
+    Tallied in the MAC counter. A product with n >= 256 runs as two halves of
+    ``a``'s rows, split where ``_cut`` says; the (d, 1) heads never split.
     """
     if a.data.ndim < 2 or w.data.ndim != 2:
         raise ShapeError(f"matmul needs an (..., k) operand and a 2-D one, got {a.shape} and {w.shape}")
@@ -275,14 +346,23 @@ def _product(a: Tensor, w: Tensor) -> np.ndarray:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {w.shape}")
     global _mac_count
     _mac_count += a.size * w.shape[1]
-    return (a.data.reshape(-1, a.shape[-1]) @ w.data).reshape(*a.shape[:-1], w.shape[1])
+    rows, w_data = a.data.reshape(-1, a.shape[-1]), w.data
+    out = np.empty((rows.shape[0], w.shape[1]))
+    cut = _cut(rows.shape[0], a.shape[-1] * w.shape[1]) if w.shape[1] >= 256 else 0
+    if cut:
+        _in_two(lambda: np.matmul(rows[:cut], w_data, out=out[:cut]),
+                lambda: np.matmul(rows[cut:], w_data, out=out[cut:]))
+    else:
+        np.matmul(rows, w_data, out=out)
+    return out.reshape(*a.shape[:-1], w.shape[1])
 
 
 def _product_grads(a: Tensor, w: Tensor) -> Callable[[np.ndarray], tuple]:
     """The gradients of ``_product(a, w)``: ``g @ w.T`` for ``a`` and one ``a.T @ g`` over all rows for ``w``.
 
     An operand that needs no gradient gets ``None``, and the other's data is
-    not kept for it.
+    not kept for it. When both are needed and each is at least
+    ``_SPLIT_WORK`` MACs, the two products run at the same time.
     """
     a_shape = a.shape
     a_rows = a.data.reshape(-1, a_shape[-1]) if w.requires_grad else None  # read only by w's gradient
@@ -290,8 +370,11 @@ def _product_grads(a: Tensor, w: Tensor) -> Callable[[np.ndarray], tuple]:
 
     def grads(g):
         rows = g.reshape(-1, g.shape[-1])
-        return (None if w_data is None else (rows @ w_data.T).reshape(a_shape),
-                None if a_rows is None else a_rows.T @ rows)
+        ga = None if w_data is None else lambda: (rows @ w_data.T).reshape(a_shape)
+        gw = None if a_rows is None else lambda: a_rows.T @ rows
+        if ga and gw and rows.size * a_shape[-1] >= _SPLIT_WORK:
+            return _in_two(ga, gw)
+        return ga and ga(), gw and gw()
 
     return grads
 
@@ -443,14 +526,15 @@ def _softmax_(data: np.ndarray) -> None:
     data /= data.sum(axis=-1, keepdims=True)
 
 
-def _softmax_grad(g: np.ndarray, data: np.ndarray, scale: float) -> np.ndarray:
-    """Gradient of the scores given the output gradient ``g`` and the last-axis softmax output ``data``."""
-    dx = g * data
-    dot = dx.sum(axis=-1, keepdims=True)
-    np.subtract(g, dot, out=dx)
-    dx *= data
-    dx *= scale
-    return dx
+def _softmax_grad_(g: np.ndarray, data: np.ndarray, scale: float, scratch: np.ndarray) -> None:
+    """Turn ``g``, the gradient of the last-axis softmax output ``data``, into the gradient of its scores, in place.
+
+    ``scratch`` is a buffer of ``g``'s shape that is overwritten.
+    """
+    np.multiply(g, data, out=scratch)
+    g -= scratch.sum(axis=-1, keepdims=True)
+    g *= data
+    g *= scale
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tensor:
@@ -461,8 +545,12 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tenso
     product over the stack, softmaxed in place and mixed by another, one head
     at a time. Without a tape every head reuses one score buffer; with one,
     the (heads, B, Nq, Nk) weights are kept for backward, which runs the same
-    float ops head by head over the whole stack. Each sample gets the float
-    ops of its own stack of one.
+    float ops head by head over the whole stack, the softmax gradient in one
+    reused buffer. Each sample gets the float ops of its own stack of one.
+
+    An op of at least ``_SPLIT_WORK`` MACs runs as two halves: forward splits
+    the query rows where ``_cut`` says, each half running every head into its
+    own rows of the one buffer, taped or not; backward splits the heads.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if q.data.ndim != 3 or k.data.ndim != 3 or k.shape[0] != q.shape[0] or v.shape != k.shape \
@@ -485,21 +573,40 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tenso
     taped = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     weights = np.empty((n_heads if taped else 1, n_s, n_q, n_k))
     out = np.empty((n_s, n_q, dim))
-    for h, cols in enumerate(heads):
-        w = weights[h] if taped else weights[0]
-        np.matmul(q_data[:, :, cols], k_t(cols), out=w)
-        w *= scale
-        _softmax_(w)
-        np.matmul(w, v_data[:, :, cols], out=out[:, :, cols])
+
+    def query_rows(lo: int, hi: int) -> None:
+        for h, cols in enumerate(heads):
+            w = weights[h if taped else 0, :, lo:hi]
+            np.matmul(q_data[:, lo:hi, cols], k_t(cols), out=w)
+            w *= scale
+            _softmax_(w)
+            np.matmul(w, v_data[:, :, cols], out=out[:, lo:hi, cols])
+
+    cut = _cut(n_q, n_k * head_dim)
+    if cut:
+        _in_two(lambda: query_rows(0, cut), lambda: query_rows(cut, n_q))
+    else:
+        query_rows(0, n_q)
 
     def backward(g):
         gq, gk, gv = np.empty_like(q_data), np.empty_like(k_data), np.empty_like(v_data)
-        for h, cols in enumerate(heads):
-            w, g_h = weights[h], g[:, :, cols]
-            np.matmul(w.transpose(0, 2, 1), g_h, out=gv[:, :, cols])
-            gs = _softmax_grad(g_h @ v_data[:, :, cols].transpose(0, 2, 1), w, scale)
-            np.matmul(gs, k_t(cols).transpose(0, 2, 1), out=gq[:, :, cols])
-            gk[:, :, cols] = (q_data[:, :, cols].transpose(0, 2, 1) @ gs).transpose(0, 2, 1)
+
+        def head_range(lo: int, hi: int) -> None:
+            gs, scratch = np.empty((n_s, n_q, n_k)), np.empty((n_s, n_q, n_k))
+            for h in range(lo, hi):
+                cols = heads[h]
+                w, g_h = weights[h], g[:, :, cols]
+                np.matmul(w.transpose(0, 2, 1), g_h, out=gv[:, :, cols])
+                np.matmul(g_h, v_data[:, :, cols].transpose(0, 2, 1), out=gs)
+                _softmax_grad_(gs, w, scale, scratch)
+                np.matmul(gs, k_t(cols).transpose(0, 2, 1), out=gq[:, :, cols])
+                gk[:, :, cols] = (q_data[:, :, cols].transpose(0, 2, 1) @ gs).transpose(0, 2, 1)
+
+        half = n_heads // 2
+        if half and n_q * n_k * head_dim >= _SPLIT_WORK:
+            _in_two(lambda: head_range(0, half), lambda: head_range(half, n_heads))
+        else:
+            head_range(0, n_heads)
         return gq, gk, gv
 
     return _make(out, (q, k, v), backward)

@@ -1,9 +1,11 @@
 """Seed-deterministic training loop, evaluation driver, and batch prediction.
 
-The loop is single-threaded and fully determined by (seed, config, dataset):
-per-epoch shuffles come from one generator, dropout masks from another, and
-checkpoints are written atomically, so identical runs produce byte-identical
-checkpoint files and loss histories.
+The loop runs one step at a time and is fully determined by (seed, config,
+dataset): per-epoch shuffles come from one generator, dropout masks from
+another, and checkpoints are written atomically, so identical runs produce
+byte-identical checkpoint files and loss histories. Large ops run in two
+halves on two threads where the process has two CPUs, split by shape alone
+(see ``autograd``), so the bytes do not depend on the CPU count either.
 
 A step optimizes the mean loss of a batch. The batch's largest group of
 samples that share every input shape (clips and text tokens) runs first, as

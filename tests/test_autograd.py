@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
+import time
 import tracemalloc
 import types
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from test_model import make_sample, small_config
+from test_train import openblas
 
 from momentkit import autograd as ag
 from momentkit.fdcheck import check_gradients
@@ -392,6 +399,162 @@ def test_stacked_attention_runs_each_samples_float_ops():
         ag.backward(ag.sum_(ag.mul(got, mix[i:i + 1])))
         for t, stacked in zip(alone, (q, k, v)):
             assert t.grad.tobytes() == stacked.grad[i].tobytes()
+
+
+class CountingWorker(ThreadPoolExecutor):
+    """The one worker thread, counting the parts handed to it."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.parts = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.parts += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+@contextlib.contextmanager
+def split_mode(monkeypatch, mode):
+    """``whole``: no op splits; ``inline``: ops split, both parts on the caller; ``worker``: split on a worker."""
+    worker = CountingWorker() if mode == "worker" else False
+    with monkeypatch.context() as m:
+        m.setattr(ag, "_worker", worker)
+        if mode == "whole":
+            m.setattr(ag, "_SPLIT_WORK", 2**62)
+        try:
+            yield worker
+        finally:
+            if worker:
+                worker.shutdown()
+
+
+def _attend_and_product(n_s, n_q, n_k, taped):
+    """Bytes of d256/h8 ``attend`` and of an (n_s, n_q, 256) x (256, 1024) product, their gradients, and the MACs."""
+    rng = np.random.default_rng(n_s * 10007 + n_q * 101 + n_k)
+    d = 256
+    q, x, mix_a = (rng.normal(size=(n_s, n_q, d)) for _ in range(3))
+    k, v = (rng.normal(size=(n_s, n_k, d)) for _ in range(2))
+    w, mix_p = rng.normal(size=(d, 4 * d)), rng.normal(size=(n_s, n_q, 4 * d))
+    leaves = [ag.Tensor(a, requires_grad=True) for a in (q, k, v, x, w)]
+    macs = ag.mac_count()
+    with contextlib.nullcontext() if taped else ag.no_grad():
+        att = ag.attend(*leaves[:3], 8, d ** -0.5)
+        prod = ag.matmul(*leaves[3:])
+    macs = ag.mac_count() - macs
+    out = [att.data, prod.data]
+    if taped:
+        ag.backward(ag.add(ag.sum_(ag.mul(att, mix_a)), ag.sum_(ag.mul(prod, mix_p))))
+        out += [t.grad for t in leaves]
+    return [a.tobytes() for a in out], macs
+
+
+# (stack, queries, keys, taped, parts the worker runs): d256 self-attention at
+# 512 clips, both taped and served, and served at 333 clips, whose scores a cut
+# at a multiple of 16 rather than 24 would round differently on SkylakeX;
+# training stacks; a bottleneck compress (4 tokens over 160 clips); the query
+# generator (512 clips over 20 text tokens)
+SPLIT_CASES = [
+    (1, 512, 512, True, 4), (1, 512, 512, False, 2), (1, 333, 333, False, 2), (3, 160, 160, True, 2),
+    (4, 75, 75, True, 2), (2, 128, 128, True, 2), (3, 4, 160, True, 1), (1, 512, 20, True, 2),
+]
+
+
+@pytest.fixture
+def one_blas_thread():
+    """BLAS on one thread, as perfbench runs it.
+
+    A threaded OpenBLAS rounds some products by how it shares them among its
+    threads (d256 scores at 333 clips, say), so their bytes follow the BLAS
+    thread count whether or not an op splits.
+    """
+    get, set_ = openblas("get_num_threads"), openblas("set_num_threads")
+    if get is None or set_ is None:
+        pytest.skip("cannot set the BLAS thread count")
+    before = get()
+    set_(1)
+    yield
+    set_(before)
+
+
+@pytest.mark.parametrize("n_s, n_q, n_k, taped, parts", SPLIT_CASES)
+def test_a_split_op_keeps_the_bytes_of_the_whole_op(n_s, n_q, n_k, taped, parts, monkeypatch, one_blas_thread):
+    """Whole, split inline and split on the worker: every output, gradient and MAC count is equal."""
+    with split_mode(monkeypatch, "whole"):
+        whole = _attend_and_product(n_s, n_q, n_k, taped)
+    with split_mode(monkeypatch, "inline"):
+        inline = _attend_and_product(n_s, n_q, n_k, taped)
+    with split_mode(monkeypatch, "worker") as worker:
+        split = _attend_and_product(n_s, n_q, n_k, taped)
+    assert worker.parts == parts
+    assert inline == whole
+    assert split == whole
+
+
+def _half_bad_scores(bad):
+    """Scores over 96 queries that are non-finite only in row 3, inside the worker's first 48 rows."""
+    rng = np.random.default_rng(29)
+    q, k, v = rng.normal(size=(1, 96, 8)), rng.normal(size=(1, 64, 8)), rng.normal(size=(1, 64, 8))
+    q[0, 3, 0] = bad
+    return q, k, v
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_in_the_workers_half_raise_on_the_caller(bad, monkeypatch):
+    q, k, v = _half_bad_scores(bad)
+    monkeypatch.setattr(ag, "_SPLIT_WORK", 1)  # so these small shapes split
+    made = []
+    real_make = ag._make
+    monkeypatch.setattr(ag, "_make", lambda *a: made.append(a) or real_make(*a))
+    with split_mode(monkeypatch, "worker") as worker:
+        for grad_mode in (contextlib.nullcontext, ag.no_grad):
+            with grad_mode(), pytest.raises(ag.NumericError, match="softmax requires finite input"):
+                ag.attend(ag.Tensor(q, requires_grad=True), ag.Tensor(k), ag.Tensor(v), 2, 1.0)
+        assert worker.parts == 2 and not made
+        q[0, 3, 0] = 0.0
+        after = ag.attend(ag.Tensor(q), ag.Tensor(k), ag.Tensor(v), 2, 1.0).data
+        assert worker.parts == 3
+    with split_mode(monkeypatch, "whole"):
+        assert after.tobytes() == ag.attend(ag.Tensor(q), ag.Tensor(k), ag.Tensor(v), 2, 1.0).data.tobytes()
+
+
+def _split_product():
+    rng = np.random.default_rng(31)
+    return ag.matmul(ag.Tensor(rng.normal(size=(96, 256))), ag.Tensor(rng.normal(size=(256, 256)))).data
+
+
+def test_one_cpu_starts_no_worker_thread(monkeypatch):
+    monkeypatch.setattr(ag, "_worker", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    threads = threading.active_count()
+    with split_mode(monkeypatch, "whole"):
+        expected = _split_product()
+    monkeypatch.setattr(ag, "_worker", None)
+    assert _split_product().tobytes() == expected.tobytes()
+    assert ag._worker is False and threading.active_count() == threads
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_splits_without_the_parents_worker(monkeypatch):
+    with split_mode(monkeypatch, "worker") as worker:
+        expected = _split_product()
+        assert worker.parts == 1  # the parent's worker thread is running
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # forking with a live thread
+            pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = _split_product().tobytes() == expected.tobytes()
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child waited on its parent's worker thread")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_backward_requires_scalar():

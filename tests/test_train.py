@@ -3,6 +3,9 @@
 import ctypes
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -157,12 +160,19 @@ PINNED_CHECKPOINT_SHA256 = {
 }
 
 
-def blas_kernel() -> str | None:
-    """The kernel numpy's bundled OpenBLAS picked at run time, or ``None`` when it cannot be read."""
+def openblas(name: str):
+    """The function ``name`` of numpy's bundled OpenBLAS, or ``None`` when it cannot be found."""
     libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
     try:
-        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+        return getattr(ctypes.CDLL(str(libs[0])), f"scipy_openblas_{name}64_")
     except (IndexError, OSError, AttributeError):
+        return None
+
+
+def blas_kernel() -> str | None:
+    """The kernel numpy's bundled OpenBLAS picked at run time, or ``None`` when it cannot be read."""
+    corename = openblas("get_corename")
+    if corename is None:
         return None
     corename.restype = ctypes.c_char_p
     return corename().decode()
@@ -176,6 +186,34 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     kernel = blas_kernel()
     assert kernel in PINNED_CHECKPOINT_SHA256, f"no pin for BLAS kernel {kernel!r}; this run gave {digest}"
     assert digest == PINNED_CHECKPOINT_SHA256[kernel], f"BLAS kernel {kernel}"
+
+
+def test_older_pinned_kernels_keep_their_pins_and_split_bytes():
+    """Each pinned kernel older than this host's, forced with OPENBLAS_CORETYPE in a process of its own.
+
+    The pin table lists kernels newest first, and a host runs every older one.
+    """
+    kernel = blas_kernel()
+    if kernel not in PINNED_CHECKPOINT_SHA256:
+        pytest.skip(f"BLAS kernel {kernel!r} has no pin row")
+    rows = list(PINNED_CHECKPOINT_SHA256)
+    tests = Path(__file__).parent
+    nodeids = [f"{tests / 'test_train.py'}::test_checkpoint_bytes_are_pinned",
+               f"{tests / 'test_autograd.py'}::test_a_split_op_keeps_the_bytes_of_the_whole_op"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(tests.parent / "src"),
+                                                                  os.environ.get("PYTHONPATH")) if p)}
+    runs = {}
+    for row in rows[rows.index(kernel) + 1:]:
+        # the kernel is checked before any test runs: an unknown core type falls back to the host's
+        code = (f"import sys, pytest; sys.path.insert(0, {str(tests)!r}); from test_train import blas_kernel; "
+                f"k = blas_kernel(); sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{nodeids!r}]) "
+                f"if k == {row!r} else f'forced {row}, ran {{k}}')")
+        coretype = "Prescott" if row == "Katmai" else row
+        runs[row] = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                                     text=True, env={**env, "OPENBLAS_CORETYPE": coretype})
+    for row, run in runs.items():
+        out, _ = run.communicate(timeout=300)
+        assert run.returncode == 0, f"{row}:\n{out[-5000:]}"
 
 
 @pytest.mark.parametrize("layers, n_params", [((1, 1, 1), 119), ((2, 2, 3), 223)])
