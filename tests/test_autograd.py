@@ -524,7 +524,7 @@ def _split_product():
 
 def test_one_cpu_starts_no_worker_thread(monkeypatch):
     monkeypatch.setattr(ag, "_worker", None)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     threads = threading.active_count()
     with split_mode(monkeypatch, "whole"):
         expected = _split_product()
