@@ -15,7 +15,10 @@ as a stack of one. Each such backward unit is differentiated as soon as its
 losses exist, its share of the mean scaled by 1/B, before the next unit's
 forward starts: a step holds one unit's tape, and gradients add up in the
 parameters. The stack runs while no gradient is held yet, so its larger tape
-does not meet the gradient set.
+does not meet the gradient set. A step's gradients live from its first
+backward until the AdamW step that applies them and are dropped then, so none
+is held between steps, while a checkpoint is written, or once ``train``
+returns or raises.
 
 A batch with no two samples of one shape runs as stacks of one, by the float
 ops of one backward through the summed batch graph, so its gradients are
@@ -213,7 +216,10 @@ def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
 
     Each backward unit (a stack of one sample or more) is differentiated as
     soon as its losses exist, so a step holds one unit's tape; the batch value
-    is ``((s1 + s2) + ...) * (1 / B)`` in unit order.
+    is ``((s1 + s2) + ...) * (1 / B)`` in unit order. A step's gradients are
+    dropped once AdamW has applied them, and gradients held before the call
+    are dropped as stale, so the model comes back, or the raise leaves it,
+    holding no gradient.
     """
     config.validate()
     if not samples:
@@ -228,56 +234,60 @@ def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
     history: list[float] = []
     component_history: list[dict[str, float]] = []
     written: list[Path] = []
-    for epoch in range(config.epochs):
-        perm = order.permutation(len(samples))
-        batch_values: list[float] = []
-        batch_comps: list[np.ndarray] = []
-        for start in range(0, len(samples), config.batch_size):
-            batch = perm[start : start + config.batch_size]
-            opt.zero_grad()
-            value: float | None = None
-            comps = np.zeros(4)
-            for unit in backward_units(batch, shapes):
-                losses = stack_losses(model, [samples[i] for i in unit], [targets[i] for i in unit], weights,
-                                      drop_rng)
-                unit_total = losses[0][0]
-                for sample_total, _ in losses[1:]:
-                    unit_total = ag.add(unit_total, sample_total)
-                # the mean is linear, so each unit's share is differentiated now and its tape freed
-                ag.backward(ag.mul(unit_total, 1.0 / len(batch)))
-                for sample_total, parts in losses:
-                    value = sample_total.item() if value is None else value + sample_total.item()
-                    comps += parts
-            value *= 1.0 / len(batch)
-            comps /= len(batch)
-            batch_id = start // config.batch_size
-            if not np.isfinite(value):
-                raise NumericError(f"non-finite loss {value} at epoch {epoch} batch {batch_id}")
-            recombined = (
-                weights.saliency * comps[0] + weights.center * comps[1]
-                + weights.window * comps[2] + weights.offset * comps[3]
-            )
-            if abs(value - recombined) > 1e-10:
-                raise NumericError(
-                    f"loss bookkeeping drift {abs(value - recombined):.3e} at epoch {epoch} batch {batch_id}"
+    opt.zero_grad()  # gradients held from before the call are stale
+    try:
+        for epoch in range(config.epochs):
+            perm = order.permutation(len(samples))
+            batch_values: list[float] = []
+            batch_comps: list[np.ndarray] = []
+            for start in range(0, len(samples), config.batch_size):
+                batch = perm[start : start + config.batch_size]
+                value: float | None = None
+                comps = np.zeros(4)
+                for unit in backward_units(batch, shapes):
+                    losses = stack_losses(model, [samples[i] for i in unit], [targets[i] for i in unit], weights,
+                                          drop_rng)
+                    unit_total = losses[0][0]
+                    for sample_total, _ in losses[1:]:
+                        unit_total = ag.add(unit_total, sample_total)
+                    # the mean is linear, so each unit's share is differentiated now and its tape freed
+                    ag.backward(ag.mul(unit_total, 1.0 / len(batch)))
+                    for sample_total, parts in losses:
+                        value = sample_total.item() if value is None else value + sample_total.item()
+                        comps += parts
+                value *= 1.0 / len(batch)
+                comps /= len(batch)
+                batch_id = start // config.batch_size
+                if not np.isfinite(value):
+                    raise NumericError(f"non-finite loss {value} at epoch {epoch} batch {batch_id}")
+                recombined = (
+                    weights.saliency * comps[0] + weights.center * comps[1]
+                    + weights.window * comps[2] + weights.offset * comps[3]
                 )
-            if config.clip_norm is not None:
-                opt.clip_gradients(config.clip_norm)
-            opt.step()
-            batch_values.append(value)
-            batch_comps.append(comps)
-        history.append(float(np.mean(batch_values)))
-        epoch_comps = np.mean(batch_comps, axis=0)
-        component_history.append(
-            {k: float(v) for k, v in zip(("saliency", "center", "window", "offset"), epoch_comps)}
-        )
-        if (
-            out_path is not None and config.checkpoint_every
-            and (epoch + 1) % config.checkpoint_every == 0 and epoch + 1 < config.epochs
-        ):
-            snap = out_path / f"epoch{epoch + 1:04d}.ckpt"
-            save_checkpoint(model, snap, extra={"epoch": epoch + 1})
-            written.append(snap)
+                if abs(value - recombined) > 1e-10:
+                    raise NumericError(
+                        f"loss bookkeeping drift {abs(value - recombined):.3e} at epoch {epoch} batch {batch_id}"
+                    )
+                if config.clip_norm is not None:
+                    opt.clip_gradients(config.clip_norm)
+                opt.step()
+                opt.zero_grad()  # applied, so no gradient is held until the next backward
+                batch_values.append(value)
+                batch_comps.append(comps)
+            history.append(float(np.mean(batch_values)))
+            epoch_comps = np.mean(batch_comps, axis=0)
+            component_history.append(
+                {k: float(v) for k, v in zip(("saliency", "center", "window", "offset"), epoch_comps)}
+            )
+            if (
+                out_path is not None and config.checkpoint_every
+                and (epoch + 1) % config.checkpoint_every == 0 and epoch + 1 < config.epochs
+            ):
+                snap = out_path / f"epoch{epoch + 1:04d}.ckpt"
+                save_checkpoint(model, snap, extra={"epoch": epoch + 1})
+                written.append(snap)
+    finally:
+        opt.zero_grad()  # a raise leaves no gradient behind either
     if out_path is not None:
         final = out_path / "final.ckpt"
         save_checkpoint(model, final, extra={"epochs": config.epochs, "loss_history": history})

@@ -19,7 +19,7 @@ from momentkit.data import DataError, SynthConfig, VideoSample, synthesize_datas
 from momentkit.decode import read_predictions
 from momentkit.losses import LossWeights, build_targets
 from momentkit.metrics import build_report
-from momentkit.model import ConfigError, ModelConfig, MomentModel
+from momentkit.model import ConfigError, ModelConfig, MomentModel, save_checkpoint
 from momentkit.train import (
     AdamW, TrainConfig, backward_units, evaluate, predict, sample_loss, stack_losses, train,
 )
@@ -254,12 +254,28 @@ def ragged_dataset(lengths, seed=0):
     return [tiny_dataset(n=1, n_clips=n, seed=seed + i)[0] for i, n in enumerate(lengths)]
 
 
-def test_a_step_equals_one_backward_through_the_summed_batch_graph():
+class GradRecordingAdamW(AdamW):
+    """AdamW that keeps a copy of every parameter's gradient as each step reads it.
+
+    ``train`` drops a step's gradients once it is applied, so they are read here.
+    """
+
+    steps: list[dict[str, np.ndarray | None]] = []
+
+    def step(self):
+        self.steps.append({name: None if p.grad is None else p.grad.copy() for name, p in self.params})
+        super().step()
+
+
+def test_a_step_equals_one_backward_through_the_summed_batch_graph(monkeypatch):
     """A batch with no two samples of one shape gives the gradients and update of the batch mean, bit for bit."""
     samples = ragged_dataset((8, 9, 10, 11), seed=2)
     cfg = TrainConfig(epochs=1, batch_size=4, seed=1)
+    monkeypatch.setattr(GradRecordingAdamW, "steps", [])
+    monkeypatch.setattr(train_module, "AdamW", GradRecordingAdamW)
     model = make_model(seed=3)
     train(model, samples, cfg)
+    (grads,) = GradRecordingAdamW.steps
 
     ref = make_model(seed=3)
     drop_rng = RngState(cfg.seed)
@@ -272,8 +288,8 @@ def test_a_step_equals_one_backward_through_the_summed_batch_graph():
     ag.backward(ag.mul(total, 1.0 / len(samples)))
     AdamW(ref.named_parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay).step()
     for (name, p), (_, q) in zip(model.named_parameters(), ref.named_parameters()):
-        assert p.grad is not None and q.grad is not None, name
-        assert p.grad.tobytes() == q.grad.tobytes(), name
+        assert grads[name] is not None and q.grad is not None, name
+        assert grads[name].tobytes() == q.grad.tobytes(), name
         assert p.data.tobytes() == q.data.tobytes(), name
 
 
@@ -319,9 +335,12 @@ def test_a_stacked_step_equals_the_per_sample_fold(dropout, monkeypatch):
     cfg = TrainConfig(epochs=1, batch_size=4, seed=1)
     monkeypatch.setattr(RecordedStream, "draws", [])
     monkeypatch.setattr(train_module, "RngState", RecordedStream)
+    monkeypatch.setattr(GradRecordingAdamW, "steps", [])
+    monkeypatch.setattr(train_module, "AdamW", GradRecordingAdamW)
     model = make_model(seed=3, **rates)
     train(model, samples, cfg)
     assert len(RecordedStream.draws) == (22 if dropout else 0)  # one mask per site for the whole stack
+    (grads,) = GradRecordingAdamW.steps
 
     ref = make_model(seed=3, **rates)
     for row, idx in enumerate(np.random.default_rng(cfg.seed).permutation(len(samples))):
@@ -329,8 +348,8 @@ def test_a_stacked_step_equals_the_per_sample_fold(dropout, monkeypatch):
         loss, _ = sample_loss(ref, s, build_targets(s.moments, s.saliency, s.n_clips), cfg.task_weights(),
                               ReplayedStream(RecordedStream.draws, row))
         ag.backward(ag.mul(loss, 1.0 / len(samples)))
-    for (name, p), (_, q) in zip(model.named_parameters(), ref.named_parameters()):
-        assert np.abs(p.grad - q.grad).max() <= 1e-12 * np.abs(q.grad).max(), name
+    for name, q in ref.named_parameters():
+        assert np.abs(grads[name] - q.grad).max() <= 1e-12 * np.abs(q.grad).max(), name
 
 
 def test_backward_units_stack_the_largest_group_first():
@@ -399,11 +418,48 @@ def test_loss_decreases_on_tiny_overfit():
     assert result.loss_history[-1] < 0.7 * result.loss_history[0]
 
 
+def held_gradients(model) -> list[str]:
+    return [name for name, p in model.named_parameters() if p.grad is not None]
+
+
 def test_non_finite_loss_aborts_with_location():
     model = make_model()
     model.saliency_head.weight.data[:] = np.nan
     with pytest.raises(NumericError, match="epoch 0 batch 0"):
         train(model, tiny_dataset(), TrainConfig(epochs=1, batch_size=4, seed=0))
+    assert held_gradients(model) == []  # the batch's backward ran before the raise
+
+
+def test_no_gradient_outlives_its_step(tmp_path, monkeypatch):
+    """No gradient is held while a periodic or the final checkpoint is written, nor once ``train`` returns."""
+    model = make_model()
+    writes = []
+
+    def recording_save(net, path, extra=None):
+        writes.append((path.name, held_gradients(net)))
+        save_checkpoint(net, path, extra=extra)
+
+    monkeypatch.setattr(train_module, "save_checkpoint", recording_save)
+    train(model, tiny_dataset(), TrainConfig(epochs=2, batch_size=2, checkpoint_every=1, seed=0), out_dir=tmp_path)
+    assert writes == [("epoch0001.ckpt", []), ("final.ckpt", [])]
+    assert held_gradients(model) == []
+
+
+def test_train_returns_holding_no_gradient_set():
+    """Once ``train`` returns, the bytes it still holds are well under one gradient set (the parameters' size)."""
+    samples = tiny_dataset()
+    model = make_model(model_dim=32, heads=4)
+    cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
+    train(model, samples, cfg)  # fills any first-call cache before the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train(model, samples, cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    param_bytes = sum(p.data.nbytes for _, p in model.named_parameters())
+    assert held < 0.5 * param_bytes, (held, param_bytes)
 
 
 def test_single_task_training_freezes_the_other_tasks_heads():
