@@ -48,7 +48,9 @@ Design constraints:
     ``add(x, dropout(a))``
   * dropout keeps a boolean keep-mask (1 byte per element) and applies it as
     ``(a * keep) * (1 / (1 - rate))``, bitwise ``a`` times the float mask
-  * all randomness flows through an explicit :class:`RngState`
+  * dropout draws from one ``np.random.Generator`` per sample: row r of a
+    stack's mask comes from the r-th stream, so a sample's masks are the same
+    whatever it is stacked with
   * gradients are never changed in place: a tensor's first gradient is kept
     as given and may be shared with other tensors, later ones add out of place
   * matmul and attend work is tallied in a module-level multiply-accumulate counter
@@ -158,36 +160,6 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
-
-
-class RngState:
-    """Deterministic random stream with an explicit position counter.
-
-    The same seed and the same sequence of draw calls produce bit-identical
-    values. ``position`` counts draw calls, so two states are interchangeable
-    exactly when seed and call history agree.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.position = 0
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def random(self, shape=None) -> np.ndarray:
-        self.position += 1
-        return self._gen.random(shape)
-
-    def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
-        self.position += 1
-        return self._gen.uniform(low, high, shape)
-
-    def normal(self, shape=None, scale: float = 1.0) -> np.ndarray:
-        self.position += 1
-        return self._gen.normal(0.0, scale, shape)
-
-    def integers(self, low: int, high: int, size=None):
-        self.position += 1
-        return self._gen.integers(low, high, size=size)
 
 
 def _as_array(data) -> np.ndarray:
@@ -647,16 +619,22 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make(data, (a, gain, bias), backward)
 
 
-def _keep_mask(shape, rate: float, rng: RngState | None) -> np.ndarray | None:
-    """One boolean keep-mask drawn from ``rng``, or ``None`` when dropout does not run.
+def _keep_mask(shape, rate: float, streams: Sequence[np.random.Generator] | None) -> np.ndarray | None:
+    """A boolean keep-mask whose row r is drawn from ``streams[r]``, or ``None`` when dropout does not run.
 
-    The rate is checked either way; no stream or a zero rate draws nothing.
+    There is one stream per entry of the leading axis, a stack's samples. The
+    rate is checked either way; no streams or a zero rate draws nothing.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if rng is None or rate == 0.0:
+    if streams is None or rate == 0.0:
         return None
-    return rng.random(shape) >= rate
+    if len(streams) != shape[0]:
+        raise ShapeError(f"dropout needs one stream per row of its leading axis, got {len(streams)} for {shape}")
+    keep, draw = np.empty(shape, dtype=bool), np.empty(shape[1:])
+    for row, stream in zip(keep, streams):
+        np.greater_equal(stream.random(out=draw), rate, out=row)
+    return keep
 
 
 def _masked(x: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
@@ -666,15 +644,16 @@ def _masked(x: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
     return out
 
 
-def dropout(a: Tensor, rate: float, rng: RngState | None) -> Tensor:
+def dropout(a: Tensor, rate: float, streams: Sequence[np.random.Generator] | None) -> Tensor:
     """Zero elements with probability ``rate`` and rescale survivors.
 
-    Dropout runs exactly when a stream is passed: with ``rng=None`` (or a zero
-    rate) it returns ``a`` itself and draws nothing; otherwise it draws one
-    mask from ``rng`` and keeps it as booleans. The rate is checked either way.
+    Dropout runs exactly when streams are passed: with ``streams=None`` (or a
+    zero rate) it returns ``a`` itself and draws nothing; otherwise row r of
+    the mask is drawn from ``streams[r]`` and kept as booleans. The rate is
+    checked either way.
     """
     a = _coerce(a)
-    keep = _keep_mask(a.shape, rate, rng)
+    keep = _keep_mask(a.shape, rate, streams)
     if keep is None:
         return a
 
@@ -684,16 +663,17 @@ def dropout(a: Tensor, rate: float, rng: RngState | None) -> Tensor:
     return _make(_masked(a.data, keep, rate), (a,), backward)
 
 
-def residual_dropout(residual: Tensor, a: Tensor, rate: float, rng: RngState | None) -> Tensor:
-    """``add(residual, dropout(a, rate, rng))`` as one node: a block's residual connection.
+def residual_dropout(residual: Tensor, a: Tensor, rate: float,
+                     streams: Sequence[np.random.Generator] | None) -> Tensor:
+    """``add(residual, dropout(a, rate, streams))`` as one node: a block's residual connection.
 
     Draws the same mask as ``dropout`` and is bitwise equal to the two-node
-    form in value and gradients; without a stream it is ``add(residual, a)``.
+    form in value and gradients; without streams it is ``add(residual, a)``.
     """
     residual, a = _coerce(residual), _coerce(a)
     if residual.shape != a.shape:
         raise ShapeError(f"residual_dropout needs equal shapes, got {residual.shape} and {a.shape}")
-    keep = _keep_mask(a.shape, rate, rng)
+    keep = _keep_mask(a.shape, rate, streams)
     if keep is None:
         return add(residual, a)
     data = _masked(a.data, keep, rate)

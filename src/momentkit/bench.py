@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import autograd as ag
-from .autograd import RngState, Tensor
+from .autograd import Tensor
 from .blocks import AttentionParams, BottleneckTokens, attention, compress, expand
 
 BENCH_DIM = 4
@@ -23,11 +25,11 @@ BENCH_TOKENS = 4
 def measure_bottleneck_macs(n_clips: int, dim: int = BENCH_DIM, heads: int = BENCH_HEADS,
                             n_tokens: int = BENCH_TOKENS) -> int:
     """MACs for one compress+expand round over a length-``n_clips`` sequence."""
-    rng = RngState(0)
+    rng = np.random.default_rng(0)
     comp = AttentionParams(dim, heads, rng)
     expd = AttentionParams(dim, heads, rng)
     tokens = BottleneckTokens(n_tokens, dim, rng)
-    x = Tensor(rng.normal((1, n_clips, dim)))
+    x = Tensor(rng.normal(size=(1, n_clips, dim)))
     with ag.no_grad():
         ag.reset_mac_count()
         z = compress(x, tokens.value((1,)), comp)
@@ -37,9 +39,9 @@ def measure_bottleneck_macs(n_clips: int, dim: int = BENCH_DIM, heads: int = BEN
 
 def measure_full_attention_macs(n_clips: int, dim: int = BENCH_DIM, heads: int = BENCH_HEADS) -> int:
     """MACs for one all-pairs self-attention over the same sequence (reference)."""
-    rng = RngState(0)
+    rng = np.random.default_rng(0)
     params = AttentionParams(dim, heads, rng)
-    x = Tensor(rng.normal((1, n_clips, dim)))
+    x = Tensor(rng.normal(size=(1, n_clips, dim)))
     with ag.no_grad():
         ag.reset_mac_count()
         attention(params, x, x, residual=x)

@@ -18,8 +18,10 @@ values — and each wiring chooses which side receives them.
 
 Each ``AttentionParams`` owns its dropout rate and score scale, and each
 ``FeedForward`` its dropout rate; both are fixed when the block is built.
-Dropout runs exactly when a dropout stream (``rng``) is passed: training
-passes one, inference passes none and draws nothing.
+Dropout runs exactly when dropout ``streams`` are passed, one
+``np.random.Generator`` per sample of the stack: training passes them,
+inference passes none and draws nothing. Parameters are drawn at build time
+from the ``np.random.Generator`` the block is given.
 
 Sequences are (B, N, dim) float64 stacks of B samples of one shape, a lone
 sample as a stack of one; positional rows are (N, dim) tables that broadcast
@@ -29,11 +31,12 @@ over the stack, and the bottleneck tokens are repeated over it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
 from . import autograd as ag
-from .autograd import RngState, ShapeError, Tensor
+from .autograd import ShapeError, Tensor
 
 
 class Module:
@@ -55,7 +58,7 @@ class Module:
         return found
 
 
-def _uniform_init(rng: RngState, fan_in: int, shape) -> Tensor:
+def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
     bound = 1.0 / math.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
@@ -63,7 +66,7 @@ def _uniform_init(rng: RngState, fan_in: int, shape) -> Tensor:
 class Linear(Module):
     """Affine map y = x W + b with uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: RngState):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.weight = _uniform_init(rng, in_dim, (in_dim, out_dim))
         self.bias = _uniform_init(rng, in_dim, (out_dim,))
 
@@ -83,9 +86,9 @@ class LayerNorm(Module):
 class PositionalEncoding(Module):
     """Learnable per-index encoding table; rows(n) returns the first n rows."""
 
-    def __init__(self, max_len: int, dim: int, rng: RngState):
+    def __init__(self, max_len: int, dim: int, rng: np.random.Generator):
         self.max_len = max_len
-        self.table = Tensor(rng.normal((max_len, dim), scale=0.02), requires_grad=True)
+        self.table = Tensor(rng.normal(0.0, 0.02, (max_len, dim)), requires_grad=True)
 
     def rows(self, n: int) -> Tensor:
         if n > self.max_len:
@@ -96,8 +99,8 @@ class PositionalEncoding(Module):
 class BottleneckTokens(Module):
     """Learnable seed values for the cross-modal bottleneck (n_tokens, dim)."""
 
-    def __init__(self, n_tokens: int, dim: int, rng: RngState):
-        self.tokens = Tensor(rng.normal((n_tokens, dim), scale=0.02), requires_grad=True)
+    def __init__(self, n_tokens: int, dim: int, rng: np.random.Generator):
+        self.tokens = Tensor(rng.normal(0.0, 0.02, (n_tokens, dim)), requires_grad=True)
 
     def value(self, stack: tuple[int, ...]) -> Tensor:
         """The tokens as a stack: repeated over the leading ``stack`` axes, ``(B,)`` for B samples."""
@@ -109,7 +112,7 @@ class BottleneckTokens(Module):
 class AttentionParams(Module):
     """Projection weights (no biases), output dropout rate and score scale of one multi-head attention block."""
 
-    def __init__(self, dim: int, n_heads: int, rng: RngState, drop_rate: float = 0.0):
+    def __init__(self, dim: int, n_heads: int, rng: np.random.Generator, drop_rate: float = 0.0):
         if dim % n_heads != 0:
             raise ShapeError(f"model dim {dim} is not divisible by head count {n_heads}")
         self.n_heads = n_heads
@@ -129,7 +132,7 @@ def attention(
     residual: Tensor,
     q_pos: Tensor | None = None,
     k_pos: Tensor | None = None,
-    rng: RngState | None = None,
+    streams: Sequence[np.random.Generator] | None = None,
 ) -> Tensor:
     """Multi-head attention of ``q_in`` over ``kv_in`` with a residual connection.
 
@@ -145,7 +148,7 @@ def attention(
 
     q, k, v = ag.matmul(q_in, params.w_q), ag.matmul(k_in, params.w_k), ag.matmul(kv_in, params.w_v)
     out = ag.matmul(ag.attend(q, k, v, params.n_heads, params.scale), params.w_z)
-    return ag.residual_dropout(residual, out, params.drop_rate, rng)
+    return ag.residual_dropout(residual, out, params.drop_rate, streams)
 
 
 def self_attention(
@@ -153,11 +156,11 @@ def self_attention(
     params: AttentionParams,
     pos: Tensor | None = None,
     norm: LayerNorm | None = None,
-    rng: RngState | None = None,
+    streams: Sequence[np.random.Generator] | None = None,
 ) -> Tensor:
     """Within-sequence attention; the positional encoding feeds both queries and keys."""
     h = norm(x) if norm is not None else x
-    return attention(params, h, h, residual=x, q_pos=pos, k_pos=pos, rng=rng)
+    return attention(params, h, h, residual=x, q_pos=pos, k_pos=pos, streams=streams)
 
 
 def compress(
@@ -167,7 +170,7 @@ def compress(
     pos: Tensor | None = None,
     norm_x: LayerNorm | None = None,
     norm_z: LayerNorm | None = None,
-    rng: RngState | None = None,
+    streams: Sequence[np.random.Generator] | None = None,
 ) -> Tensor:
     """Bottleneck tokens z attend over sequence x: z_i' = z_i + W_z sum_j a_ij v_j.
 
@@ -175,7 +178,7 @@ def compress(
     """
     hq = norm_z(z) if norm_z is not None else z
     hx = norm_x(x) if norm_x is not None else x
-    return attention(params, hq, hx, residual=z, q_pos=None, k_pos=pos, rng=rng)
+    return attention(params, hq, hx, residual=z, q_pos=None, k_pos=pos, streams=streams)
 
 
 def expand(
@@ -185,7 +188,7 @@ def expand(
     pos: Tensor | None = None,
     norm_x: LayerNorm | None = None,
     norm_z: LayerNorm | None = None,
-    rng: RngState | None = None,
+    streams: Sequence[np.random.Generator] | None = None,
 ) -> Tensor:
     """Sequence x reads the fused bottleneck z back out: x_i' = x_i + W_z sum_j a_ij v_j.
 
@@ -193,18 +196,19 @@ def expand(
     """
     hq = norm_x(x) if norm_x is not None else x
     hz = norm_z(z) if norm_z is not None else z
-    return attention(params, hq, hz, residual=x, q_pos=pos, k_pos=None, rng=rng)
+    return attention(params, hq, hz, residual=x, q_pos=pos, k_pos=None, streams=streams)
 
 
 class FeedForward(Module):
     """Position-wise two-layer MLP (ReLU, 4x hidden) with a residual connection."""
 
-    def __init__(self, dim: int, rng: RngState, drop_rate: float = 0.0):
+    def __init__(self, dim: int, rng: np.random.Generator, drop_rate: float = 0.0):
         self.lin1 = Linear(dim, 4 * dim, rng)
         self.lin2 = Linear(4 * dim, dim, rng)
         self.drop_rate = drop_rate
 
-    def __call__(self, x: Tensor, norm: LayerNorm | None = None, rng: RngState | None = None) -> Tensor:
+    def __call__(self, x: Tensor, norm: LayerNorm | None = None,
+                 streams: Sequence[np.random.Generator] | None = None) -> Tensor:
         h = norm(x) if norm is not None else x
-        h = ag.dropout(ag.relu(self.lin1(h)), self.drop_rate, rng)
-        return ag.residual_dropout(x, self.lin2(h), self.drop_rate, rng)
+        h = ag.dropout(ag.relu(self.lin1(h)), self.drop_rate, streams)
+        return ag.residual_dropout(x, self.lin2(h), self.drop_rate, streams)

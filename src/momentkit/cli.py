@@ -52,7 +52,7 @@ from .model import (
     check_field_types,
     load_checkpoint,
 )
-from .train import TrainConfig, evaluate, predict, sample_loss, train
+from .train import TrainConfig, evaluate, predict, stack_losses, train
 
 
 @dataclasses.dataclass
@@ -202,7 +202,7 @@ def cmd_gradcheck(args) -> int:
     targets = build_targets(sample.moments, sample.saliency, n_clips)
 
     def loss_fn():
-        return sample_loss(model, sample, targets, LossWeights(), rng=None)[0]
+        return stack_losses(model, [sample], [targets], LossWeights(), None)[0][0]
 
     report = check_gradients(
         loss_fn, model.named_parameters(),

@@ -29,8 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import RngState
-
 MANIFEST_VERSION = 1
 _HEADER = struct.Struct("<II")
 
@@ -354,7 +352,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n if n > 0 else v
 
 
-def _place_moments(rng: RngState, cfg: SynthConfig) -> list[MomentAnnotation]:
+def _place_moments(rng: np.random.Generator, cfg: SynthConfig) -> list[MomentAnnotation]:
     """Sample non-overlapping moments, in clip units.
 
     Spans stay strictly inside [0, n_clips) and rounded centers stay at least
@@ -392,16 +390,16 @@ def synthesize_dataset(cfg: SynthConfig) -> list[VideoSample]:
     annotations.
     """
     cfg.validate()
-    rng = RngState(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     # fixed projections from topic space into each modality's feature space
-    proj_rng = RngState(cfg.seed + 90001)
-    p_vis = proj_rng.normal((cfg.text_dim, cfg.visual_dim))
-    p_aud = proj_rng.normal((cfg.text_dim, cfg.audio_dim))
+    proj_rng = np.random.default_rng(cfg.seed + 90001)
+    p_vis = proj_rng.normal(size=(cfg.text_dim, cfg.visual_dim))
+    p_aud = proj_rng.normal(size=(cfg.text_dim, cfg.audio_dim))
     samples = []
     for v in range(cfg.n_videos):
-        topic = rng.normal((cfg.text_dim,))
-        vis = rng.normal((cfg.n_clips, cfg.visual_dim))
-        aud = rng.normal((cfg.n_clips, cfg.audio_dim))
+        topic = rng.normal(size=cfg.text_dim)
+        vis = rng.normal(size=(cfg.n_clips, cfg.visual_dim))
+        aud = rng.normal(size=(cfg.n_clips, cfg.audio_dim))
         moments = _place_moments(rng, cfg)
         saliency = np.zeros(cfg.n_clips)
         vis_dir = _unit(topic @ p_vis)
@@ -413,7 +411,7 @@ def synthesize_dataset(cfg: SynthConfig) -> list[VideoSample]:
                     saliency[i] = max(saliency[i], strength)
                     vis[i] += cfg.snr * strength * vis_dir
                     aud[i] += cfg.snr * strength * aud_dir
-        text = topic[None, :] + rng.normal((cfg.n_text_tokens, cfg.text_dim), scale=0.1)
+        text = topic[None, :] + rng.normal(0.0, 0.1, (cfg.n_text_tokens, cfg.text_dim))
         samples.append(
             VideoSample(
                 video_id=f"synth{v:04d}",

@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from .autograd import RngState, Tensor
+from .autograd import Tensor
 from .blocks import (
     AttentionParams,
     BottleneckTokens,
@@ -171,27 +171,27 @@ class RawPredictions:
     offset: Tensor    # clips
 
 
-def _attention_params(config: ModelConfig, rng: RngState) -> AttentionParams:
+def _attention_params(config: ModelConfig, rng: np.random.Generator) -> AttentionParams:
     """One attention block with the configured width, heads and dropout."""
     return AttentionParams(config.model_dim, config.heads, rng, drop_rate=config.dropout)
 
 
-def _feed_forward(config: ModelConfig, rng: RngState) -> FeedForward:
+def _feed_forward(config: ModelConfig, rng: np.random.Generator) -> FeedForward:
     return FeedForward(config.model_dim, rng, drop_rate=config.dropout)
 
 
 class UniModalLayer(Module):
     """Pre-norm self-attention + feed-forward over one modality's sequence."""
 
-    def __init__(self, config: ModelConfig, rng: RngState):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.attn = _attention_params(config, rng)
         self.norm_attn = LayerNorm(config.model_dim)
         self.ff = _feed_forward(config, rng)
         self.norm_ff = LayerNorm(config.model_dim)
 
-    def __call__(self, x, pos, rng):
-        x = self_attention(x, self.attn, pos=pos, norm=self.norm_attn, rng=rng)
-        return self.ff(x, norm=self.norm_ff, rng=rng)
+    def __call__(self, x, pos, streams):
+        x = self_attention(x, self.attn, pos=pos, norm=self.norm_attn, streams=streams)
+        return self.ff(x, norm=self.norm_ff, streams=streams)
 
 
 class CrossModalLayer(Module):
@@ -203,7 +203,7 @@ class CrossModalLayer(Module):
     has its own weights.
     """
 
-    def __init__(self, config: ModelConfig, rng: RngState):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
         dim = config.model_dim
         self.compress_visual = _attention_params(config, rng)
         self.expand_visual = _attention_params(config, rng)
@@ -222,32 +222,32 @@ class CrossModalLayer(Module):
         self.ff_audio = _feed_forward(config, rng)
         self.norm_ff_audio = LayerNorm(dim)
 
-    def __call__(self, vis, aud, z, vis_pos, aud_pos, rng):
+    def __call__(self, vis, aud, z, vis_pos, aud_pos, streams):
         z = compress(vis, z, self.compress_visual, pos=vis_pos,
-                     norm_x=self.norm_x_compress_visual, norm_z=self.norm_z_compress_visual, rng=rng)
+                     norm_x=self.norm_x_compress_visual, norm_z=self.norm_z_compress_visual, streams=streams)
         z = compress(aud, z, self.compress_audio, pos=aud_pos,
-                     norm_x=self.norm_x_compress_audio, norm_z=self.norm_z_compress_audio, rng=rng)
+                     norm_x=self.norm_x_compress_audio, norm_z=self.norm_z_compress_audio, streams=streams)
         vis = expand(vis, z, self.expand_visual, pos=vis_pos,
-                     norm_x=self.norm_x_expand_visual, norm_z=self.norm_z_expand_visual, rng=rng)
+                     norm_x=self.norm_x_expand_visual, norm_z=self.norm_z_expand_visual, streams=streams)
         aud = expand(aud, z, self.expand_audio, pos=aud_pos,
-                     norm_x=self.norm_x_expand_audio, norm_z=self.norm_z_expand_audio, rng=rng)
-        vis = self.ff_visual(vis, norm=self.norm_ff_visual, rng=rng)
-        aud = self.ff_audio(aud, norm=self.norm_ff_audio, rng=rng)
+                     norm_x=self.norm_x_expand_audio, norm_z=self.norm_z_expand_audio, streams=streams)
+        vis = self.ff_visual(vis, norm=self.norm_ff_visual, streams=streams)
+        aud = self.ff_audio(aud, norm=self.norm_ff_audio, streams=streams)
         return vis, aud, z
 
 
 class QueryGeneratorLayer(Module):
     """Clip-aligned queries: the joint sequence attends into the text tokens."""
 
-    def __init__(self, config: ModelConfig, rng: RngState):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.attn = _attention_params(config, rng)
         self.norm_joint = LayerNorm(config.model_dim)
         self.norm_text = LayerNorm(config.model_dim)
 
-    def __call__(self, joint, text, rng):
+    def __call__(self, joint, text, streams):
         hq = self.norm_joint(joint)
         ht = self.norm_text(text)
-        return attention(self.attn, hq, ht, residual=joint, rng=rng)
+        return attention(self.attn, hq, ht, residual=joint, streams=streams)
 
 
 class DecoderLayer(Module):
@@ -258,7 +258,7 @@ class DecoderLayer(Module):
     cross-attention; the memory table feeds its K side.
     """
 
-    def __init__(self, config: ModelConfig, rng: RngState):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
         dim = config.model_dim
         self.self_attn = _attention_params(config, rng)
         self.norm_self = LayerNorm(dim)
@@ -267,20 +267,20 @@ class DecoderLayer(Module):
         self.ff = _feed_forward(config, rng)
         self.norm_ff = LayerNorm(dim)
 
-    def __call__(self, q, memory, q_pos, m_pos, rng):
-        q = self_attention(q, self.self_attn, pos=q_pos, norm=self.norm_self, rng=rng)
+    def __call__(self, q, memory, q_pos, m_pos, streams):
+        q = self_attention(q, self.self_attn, pos=q_pos, norm=self.norm_self, streams=streams)
         hq = self.norm_query(q)
-        q = attention(self.cross_attn, hq, memory, residual=q, q_pos=q_pos, k_pos=m_pos, rng=rng)
-        return self.ff(q, norm=self.norm_ff, rng=rng)
+        q = attention(self.cross_attn, hq, memory, residual=q, q_pos=q_pos, k_pos=m_pos, streams=streams)
+        return self.ff(q, norm=self.norm_ff, streams=streams)
 
 
 class MomentModel(Module):
     """Full assembly; parameter layout is a deterministic function of (config, seed)."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        self._build(config, RngState(seed))
+        self._build(config, np.random.default_rng(seed))
 
-    def _build(self, config: ModelConfig, rng: RngState) -> None:
+    def _build(self, config: ModelConfig, rng: np.random.Generator) -> None:
         config.validate()
         self.config = config
         dim = config.model_dim
@@ -313,58 +313,61 @@ class MomentModel(Module):
 
     # -- encoding ----------------------------------------------------------
 
-    def encode_features(self, visual: Tensor | None, audio: Tensor | None, rng: RngState | None = None) -> Tensor:
+    def encode_features(self, visual: Tensor | None, audio: Tensor | None,
+                        streams: Sequence[np.random.Generator] | None = None) -> Tensor:
         """Fuse (B, N, dim) modality features into the joint (B, N_v, model_dim) sequences."""
         cfg = self.config
         enabled = {name: feats for name, feats in (("visual", visual), ("audio", audio)) if getattr(cfg, f"use_{name}")}
         for name, feats in enabled.items():
             if feats is None:
                 raise ConfigError(f"{name} modality enabled but features are missing")
-        streams: dict[str, tuple[Tensor, Tensor]] = {}
+        encoded: dict[str, tuple[Tensor, Tensor]] = {}
         for name, feats in enabled.items():
-            x = ag.dropout(feats, cfg.pre_dropout_av, rng)
+            x = ag.dropout(feats, cfg.pre_dropout_av, streams)
             x = getattr(self, f"{name}_proj")(x)
             pos = getattr(self, f"{name}_pos").rows(x.shape[-2])
             for layer in getattr(self, f"{name}_encoder"):
-                x = layer(x, pos, rng)
-            streams[name] = (x, pos)
-        if len(streams) == 2:
-            vis, vis_pos = streams["visual"]
-            aud, aud_pos = streams["audio"]
+                x = layer(x, pos, streams)
+            encoded[name] = (x, pos)
+        if len(encoded) == 2:
+            vis, vis_pos = encoded["visual"]
+            aud, aud_pos = encoded["audio"]
             if vis.shape[-2] < cfg.n_bottleneck:
                 raise ConfigError(
                     f"sequence of {vis.shape[-2]} clips is shorter than {cfg.n_bottleneck} bottleneck tokens"
                 )
             z = self.bottleneck.value(vis.shape[:-2])
             for layer in self.cross_encoder:
-                vis, aud, z = layer(vis, aud, z, vis_pos, aud_pos, rng)
+                vis, aud, z = layer(vis, aud, z, vis_pos, aud_pos, streams)
             return ag.add(self.visual_out_norm(vis), self.audio_out_norm(aud))
         # single modality: no bottleneck stage; closing norm sits on the encoder
-        ((name, (x, _)),) = streams.items()
+        ((name, (x, _)),) = encoded.items()
         return getattr(self, f"{name}_out_norm")(x)
 
-    def generate_queries(self, joint: Tensor, text: Tensor | None, rng: RngState | None = None) -> Tensor:
+    def generate_queries(self, joint: Tensor, text: Tensor | None,
+                         streams: Sequence[np.random.Generator] | None = None) -> Tensor:
         """Build one query per clip, conditioned on text when available."""
         cfg = self.config
         if cfg.use_text:
             if text is None:
                 raise ConfigError("text conditioning enabled but text features are missing")
-            t = ag.dropout(text, cfg.pre_dropout_text, rng)
+            t = ag.dropout(text, cfg.pre_dropout_text, streams)
             t = self.text_proj(t)
             q = joint
             for layer in self.query_generator:
-                q = layer(q, t, rng)
+                q = layer(q, t, streams)
             return q
         return ag.add(joint, self.query_seed_pos.rows(joint.shape[-2]))
 
-    def decode(self, joint: Tensor, queries: Tensor, rng: RngState | None = None) -> list[RawPredictions]:
+    def decode(self, joint: Tensor, queries: Tensor,
+               streams: Sequence[np.random.Generator] | None = None) -> list[RawPredictions]:
         """Run the query decoder and the four heads over a (B, N, dim) stack: one sample's predictions per row."""
         n = queries.shape[-2]
         q_pos = self.query_pos.rows(n)
         m_pos = self.memory_pos.rows(n)
         q = queries
         for layer in self.decoder:
-            q = layer(q, joint, q_pos, m_pos, rng)
+            q = layer(q, joint, q_pos, m_pos, streams)
         q = self.decoder_norm(q)
         heads = (ag.sigmoid(self.saliency_head(q)), ag.sigmoid(self.heatmap_head(q)),
                  ag.softplus(self.window_head(q)), self.offset_head(q))
@@ -383,19 +386,21 @@ class MomentModel(Module):
         return out
 
     def forward(self, samples: VideoSample | Sequence[VideoSample],
-                rng: RngState | None = None) -> RawPredictions | list[RawPredictions]:
+                streams: Sequence[np.random.Generator] | None = None) -> RawPredictions | list[RawPredictions]:
         """All four heads of one sample, or of each sample of a list that share every input shape.
 
         Either way one forward runs over (B, N, dim) sequences, a lone sample as
         a stack of one: it returns that sample's (N,) predictions, and a list
-        returns one per sample. A dropout stream ``rng`` makes it a training
-        pass, drawing one mask per dropout site for the whole stack.
+        returns one per sample. Dropout ``streams``, one generator per sample of
+        the stack, make it a training pass. Each sample's rows of every dropout
+        mask are drawn from its own generator, so its masks do not depend on
+        what it is stacked with.
         """
         one = isinstance(samples, VideoSample)
         feats = self._sample_tensors([samples] if one else samples)
-        joint = self.encode_features(feats["visual"], feats["audio"], rng)
-        queries = self.generate_queries(joint, feats["text"], rng)
-        preds = self.decode(joint, queries, rng)
+        joint = self.encode_features(feats["visual"], feats["audio"], streams)
+        queries = self.generate_queries(joint, feats["text"], streams)
+        preds = self.decode(joint, queries, streams)
         return preds[0] if one else preds
 
 
@@ -407,8 +412,8 @@ _CKPT_MAGIC = b"MKCK"
 _CKPT_VERSION = 1
 
 
-class _Unfilled(RngState):
-    """Hands out uninitialised arrays in place of draws, for parameters a checkpoint is about to fill.
+class _Unfilled:
+    """Hands out uninitialised arrays in place of a generator's draws, for parameters a checkpoint is about to fill.
 
     The arrays may hold at most ``payload`` bytes in all, so a header whose
     configuration needs more parameters than the file holds fails before the
@@ -416,14 +421,13 @@ class _Unfilled(RngState):
     """
 
     def __init__(self, path: Path, payload: int):
-        super().__init__(0)
         self.path = path
         self.remaining = payload
 
-    def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
-        return self.normal(shape)
+    def uniform(self, low: float, high: float, shape) -> np.ndarray:
+        return self.normal(0.0, 1.0, shape)
 
-    def normal(self, shape=None, scale: float = 1.0) -> np.ndarray:
+    def normal(self, loc: float, scale: float, shape) -> np.ndarray:
         self.remaining -= 8 * math.prod(shape)
         if self.remaining < 0:
             raise CheckpointError(f"{self.path}: config needs more parameters than the file holds")

@@ -1,9 +1,10 @@
 """Seed-deterministic training loop, evaluation driver, and batch prediction.
 
 The loop runs one step at a time and is fully determined by (seed, config,
-dataset): per-epoch shuffles come from one generator, dropout masks from
-another, and checkpoints are written atomically, so identical runs produce
-byte-identical checkpoint files and loss histories. Large ops run in two
+dataset): per-epoch shuffles come from one generator, and each sample's
+dropout masks in an epoch from a generator of its own, keyed by (seed, epoch,
+the sample's index), and checkpoints are written atomically, so identical runs
+produce byte-identical checkpoint files and loss histories. Large ops run in two
 halves on two threads where the process has two CPUs, split by shape alone
 (see ``autograd``), so the bytes do not depend on the CPU count either.
 
@@ -20,12 +21,12 @@ backward until the AdamW step that applies them and are dropped then, so none
 is held between steps, while a checkpoint is written, or once ``train``
 returns or raises.
 
-A batch with no two samples of one shape runs as stacks of one, by the float
-ops of one backward through the summed batch graph, so its gradients are
-bitwise that backward's. A stack sums its samples' weight gradients in one
-product over all of their rows, so its gradients equal the per-sample fold to
-rounding (within 1e-12 relative), and it draws one dropout mask per site for
-the whole stack.
+A sample draws the same dropout masks whether it runs alone or in a stack,
+and whatever ran before it. A batch with no two samples of one shape runs as
+stacks of one, by the float ops of one backward through the summed batch
+graph, so its gradients are bitwise that backward's. A stack sums its
+samples' weight gradients in one product over all of their rows, so its
+gradients equal the per-sample fold to rounding (within 1e-12 relative).
 
 Task selection ("mr", "hd", "both") works by zeroing the loss weights of the
 inactive task, which leaves targets and the model untouched — the single-task
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from .autograd import NumericError, RngState, Tensor
+from .autograd import NumericError, Tensor
 from .data import DataError, VideoSample
 from .decode import PredictionRecord, decode_predictions, write_predictions
 from .losses import (
@@ -175,18 +176,15 @@ class TrainResult:
     checkpoints: list[Path]
 
 
-def sample_loss(model: MomentModel, sample: VideoSample, targets, weights: LossWeights, rng: RngState | None):
-    """Weighted training loss of one sample, plus its four unweighted components.
-
-    ``rng`` is the dropout stream; ``None`` gives the loss without dropout.
-    """
-    return _weighted_loss(model.forward(sample, rng=rng), targets, weights)
-
-
 def stack_losses(model: MomentModel, samples: list[VideoSample], targets: list, weights: LossWeights,
-                 rng: RngState | None) -> list[tuple[Tensor, tuple[float, float, float, float]]]:
-    """``sample_loss`` of each of ``samples``, which share every input shape, from one forward of their stack."""
-    return [_weighted_loss(p, t, weights) for p, t in zip(model.forward(samples, rng=rng), targets)]
+                 streams: list[np.random.Generator] | None) -> list[tuple[Tensor, tuple[float, float, float, float]]]:
+    """The weighted training loss of each of ``samples``, plus its four unweighted components.
+
+    The samples share every input shape and run as one forward of their
+    stack. ``streams`` holds each sample's dropout generator; ``None`` gives
+    the losses without dropout.
+    """
+    return [_weighted_loss(p, t, weights) for p, t in zip(model.forward(samples, streams), targets)]
 
 
 def _weighted_loss(preds: RawPredictions, targets, weights: LossWeights):
@@ -216,7 +214,9 @@ def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
 
     Each backward unit (a stack of one sample or more) is differentiated as
     soon as its losses exist, so a step holds one unit's tape; the batch value
-    is ``((s1 + s2) + ...) * (1 / B)`` in unit order. A step's gradients are
+    is ``((s1 + s2) + ...) * (1 / B)`` in unit order. Sample ``i`` of
+    ``samples`` draws its dropout masks in epoch ``e`` from
+    ``np.random.default_rng([config.seed, e, i])``. A step's gradients are
     dropped once AdamW has applied them, and gradients held before the call
     are dropped as stale, so the model comes back, or the raise leaves it,
     holding no gradient.
@@ -227,7 +227,6 @@ def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
     weights = config.task_weights()
     targets = [build_targets(s.moments, s.saliency, s.n_clips) for s in samples]
     shapes = [input_shapes(s) for s in samples]
-    drop_rng = RngState(config.seed)
     order = np.random.default_rng(config.seed)
     opt = AdamW(model.named_parameters(), lr=config.learning_rate, weight_decay=config.weight_decay)
     out_path = Path(out_dir) if out_dir is not None else None
@@ -245,8 +244,9 @@ def train(model: MomentModel, samples: list[VideoSample], config: TrainConfig,
                 value: float | None = None
                 comps = np.zeros(4)
                 for unit in backward_units(batch, shapes):
+                    streams = [np.random.default_rng([config.seed, epoch, i]) for i in unit]
                     losses = stack_losses(model, [samples[i] for i in unit], [targets[i] for i in unit], weights,
-                                          drop_rng)
+                                          streams)
                     unit_total = losses[0][0]
                     for sample_total, _ in losses[1:]:
                         unit_total = ag.add(unit_total, sample_total)

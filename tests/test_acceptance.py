@@ -17,7 +17,7 @@ from test_metrics import oracle_ap, oracle_ap_from_flags, oracle_recall, random_
 from momentkit import autograd as ag
 from momentkit import blocks
 from momentkit import metrics
-from momentkit.autograd import RngState, Tensor
+from momentkit.autograd import Tensor
 from momentkit.bench import measure_bottleneck_macs, measure_full_attention_macs
 from momentkit.data import (
     FeatureSequence,
@@ -86,7 +86,7 @@ def test_criterion_2_equation_oracles():
         heads = int(rng.choice([1, 2, 4]))
         n_x = int(rng.integers(1, 9))   # N_v <= 8
         n_z = int(rng.integers(1, 5))
-        params = blocks.AttentionParams(dim, heads, RngState(6000 + trial))
+        params = blocks.AttentionParams(dim, heads, np.random.default_rng(6000 + trial))
         w = (params.w_q.data, params.w_k.data, params.w_v.data, params.w_z.data)
         x = rng.normal(size=(n_x, dim))
         z = rng.normal(size=(n_z, dim))

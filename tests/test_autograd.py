@@ -20,7 +20,7 @@ from momentkit import autograd as ag
 from momentkit.fdcheck import check_gradients
 from momentkit.losses import LossWeights, build_targets
 from momentkit.model import MomentModel
-from momentkit.train import sample_loss
+from momentkit.train import stack_losses
 
 STEP = 1e-5
 TOL = 1e-6
@@ -173,58 +173,87 @@ def test_layer_norm_shape_validation():
         ag.layer_norm(ag.Tensor(np.zeros((2, 4))), ag.Tensor(np.zeros(3)), ag.Tensor(np.zeros(4)))
 
 
+def streams(seed, rows):
+    """One generator per row, keyed ``[seed, row]``."""
+    return [np.random.default_rng([seed, r]) for r in range(rows)]
+
+
+def states(gens):
+    return [g.bit_generator.state for g in gens]
+
+
+def drawn_states(seed, rows, n):
+    """The states of ``streams(seed, rows)`` once each has drawn ``n`` uniforms."""
+    gens = streams(seed, rows)
+    for g in gens:
+        g.random(n)
+    return states(gens)
+
+
 def test_dropout_eval_is_identity_and_consumes_no_randomness():
-    rng = ag.RngState(7)
+    gens = streams(7, 3)
     x = ag.Tensor(np.arange(12.0).reshape(3, 4))
     assert ag.dropout(x, 0.5, None) is x
-    assert ag.dropout(x, 0.0, rng) is x
-    assert rng.position == 0
+    assert ag.dropout(x, 0.0, gens) is x
+    assert states(gens) == states(streams(7, 3))
 
 
 def test_dropout_training_scales_survivors():
-    rng = ag.RngState(8)
-    x = ag.Tensor(np.ones((2000,)))
-    out = ag.dropout(x, 0.25, rng)
+    (gen,) = streams(8, 1)
+    x = ag.Tensor(np.ones((1, 2000)))
+    out = ag.dropout(x, 0.25, [gen])
     kept = out.data != 0.0
     np.testing.assert_allclose(out.data[kept], 1.0 / 0.75)
     assert abs(kept.mean() - 0.75) < 0.05
-    assert rng.position == 1
+    assert states([gen]) == drawn_states(8, 1, 2000)  # one draw of the row's 2000 elements
 
 
 def test_dropout_rejects_bad_rate():
-    rng = ag.RngState(0)
     with pytest.raises(ValueError):
-        ag.dropout(ag.Tensor(np.ones(3)), 1.0, rng)
+        ag.dropout(ag.Tensor(np.ones((1, 3))), 1.0, streams(0, 1))
     with pytest.raises(ValueError):
-        ag.dropout(ag.Tensor(np.ones(3)), -0.1, rng)
+        ag.dropout(ag.Tensor(np.ones((1, 3))), -0.1, streams(0, 1))
+
+
+def test_dropout_needs_one_stream_per_row():
+    """Two streams for a stack of three would leave the third row of the mask undrawn."""
+    x = ag.Tensor(np.ones((3, 4, 5)))
+    for rows in (2, 4):
+        with pytest.raises(ag.ShapeError, match="one stream per row"):
+            ag.dropout(x, 0.5, streams(0, rows))
+        with pytest.raises(ag.ShapeError, match="one stream per row"):
+            ag.residual_dropout(x, x, 0.5, streams(0, rows))
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
 def test_dropout_matches_the_float_mask_reference(rate):
-    """The boolean keep-mask times 1/(1-rate) equals ``a * ((r >= rate) / (1 - rate))`` bit for bit."""
+    """The boolean keep-mask times 1/(1-rate) equals ``a * ((r >= rate) / (1 - rate))`` bit for bit.
+
+    Row i's uniforms are the i-th stream's own draw.
+    """
     rng = np.random.default_rng(31)
     base, upstream = rng.normal(size=(6, 7)), rng.normal(size=(6, 7))
     x = ag.Tensor(base, requires_grad=True)
-    stream = ag.RngState(5)
-    out = ag.dropout(x, rate, stream)
+    gens = streams(5, 6)
+    out = ag.dropout(x, rate, gens)
     ag.backward(ag.sum_(ag.mul(out, upstream)))
-    mask = (ag.RngState(5).random(base.shape) >= rate) / (1.0 - rate)
+    mask = (np.stack([g.random(7) for g in streams(5, 6)]) >= rate) / (1.0 - rate)
     assert out.data.tobytes() == (base * mask).tobytes()  # signed zeros included
     assert x.grad.tobytes() == (upstream * mask).tobytes()
-    assert stream.position == 1
+    assert states(gens) == drawn_states(5, 6, 7)
 
 
 def _leaf_run(build, arrays, seed):
-    """Forward and leaf-gradient bytes, stream position and MACs of ``build`` on fresh leaves."""
+    """Forward and leaf-gradient bytes, stream states and MACs of ``build`` on fresh leaves."""
     leaves = [ag.Tensor(a, requires_grad=True) for a in arrays]
-    stream = ag.RngState(seed) if seed is not None else None
+    gens = streams(seed, len(arrays[0])) if seed is not None else None
     ag.reset_mac_count()
-    out = build(*leaves, stream)
+    out = build(*leaves, gens)
     macs = ag.mac_count()
     upstream = np.random.default_rng(32).normal(size=out.shape)
     ag.backward(ag.sum_(ag.mul(out, upstream)))
     return (out.data.tobytes(), [t.grad.tobytes() for t in leaves],
-            stream.position if stream is not None else None, macs)
+            states(gens) if gens is not None else None, macs)
 
 
 def test_linear_is_bitwise_the_sum_of_matmul_and_bias():
@@ -268,7 +297,8 @@ def test_residual_dropout_is_bitwise_add_of_dropout(rate, seed):
 
     got, want = _leaf_run(fused, arrays, seed), _leaf_run(reference, arrays, seed)
     assert got == want
-    assert got[2] == (None if seed is None else int(rate > 0.0))
+    if seed is not None:  # each row's stream drew its mask row exactly when dropout ran
+        assert got[2] == drawn_states(seed, 8, 6 if rate > 0.0 else 0)
     with pytest.raises(ValueError, match="rate"):
         ag.residual_dropout(ag.Tensor(arrays[2]), ag.Tensor(arrays[2]), 1.0, None)
 
@@ -278,8 +308,7 @@ def test_dropout_gradients_with_reseeded_stream():
     x = ag.Tensor(base, requires_grad=True)
 
     def loss():
-        rng = ag.RngState(123)  # identical mask on every evaluation
-        return ag.sum_(ag.dropout(x, 0.4, rng))
+        return ag.sum_(ag.dropout(x, 0.4, streams(123, 4)))  # identical mask on every evaluation
 
     fd_check(loss, [("x", x)])
 
@@ -729,7 +758,7 @@ def test_no_backward_closure_holds_an_op_output():
     model = MomentModel(small_config(), seed=4)
     sample = make_sample(seed=5)
     targets = build_targets(sample.moments, sample.saliency, sample.n_clips)
-    loss, _ = sample_loss(model, sample, targets, LossWeights(), ag.RngState(11))
+    ((loss, _),) = stack_losses(model, [sample], [targets], LossWeights(), [np.random.default_rng(11)])
     closures = [fn for fn in (getattr(v, "_backward_fn", None) for v in ag._topo_order(loss)) if fn is not None]
     assert len(closures) > 100
     for fn in closures:
@@ -750,16 +779,6 @@ def test_no_grad_suppresses_tape():
         out = ag.mul(x, 2.0)
     assert not out.requires_grad
     assert out._parents == ()
-
-
-def test_rng_state_is_reproducible_and_tracks_position():
-    a = ag.RngState(42)
-    b = ag.RngState(42)
-    np.testing.assert_array_equal(a.normal((3, 3)), b.normal((3, 3)))
-    np.testing.assert_array_equal(a.random(5), b.random(5))
-    assert a.position == b.position == 2
-    c = ag.RngState(43)
-    assert not np.array_equal(a.uniform(-1, 1, 4), c.uniform(-1, 1, 4))
 
 
 def test_tensor_item():
@@ -791,8 +810,7 @@ def test_softmax_symmetry_and_extreme_logits():
 
 
 def test_dropout_empirical_rate_large_sample():
-    rng = ag.RngState(100)
-    out = ag.dropout(ag.Tensor(np.ones(1_000_000)), 0.1, rng)
+    out = ag.dropout(ag.Tensor(np.ones((1, 1_000_000))), 0.1, streams(100, 1))
     zero_fraction = float((out.data == 0.0).mean())
     assert abs(zero_fraction - 0.1) < 0.01
 

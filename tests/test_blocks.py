@@ -10,7 +10,7 @@ import pytest
 
 from momentkit import autograd as ag
 from momentkit import blocks
-from momentkit.autograd import RngState, ShapeError, Tensor
+from momentkit.autograd import ShapeError, Tensor
 from momentkit.fdcheck import check_gradients
 
 ORACLE_TOL = 1e-10
@@ -44,7 +44,7 @@ def naive_attention(w_q, w_k, w_v, w_z, q_in, k_in, v_in, residual, n_heads, q_p
 
 
 def make_params(dim, n_heads, seed):
-    return blocks.AttentionParams(dim, n_heads, RngState(seed))
+    return blocks.AttentionParams(dim, n_heads, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("wiring", ["self", "compress", "expand"])
@@ -162,7 +162,7 @@ def test_attention_gradients_all_wirings():
 
 def test_feed_forward_gradients_and_residual():
     dim = 6
-    ff = blocks.FeedForward(dim, RngState(13), drop_rate=0.0)
+    ff = blocks.FeedForward(dim, np.random.default_rng(13), drop_rate=0.0)
     rng = np.random.default_rng(14)
     x = Tensor(rng.normal(size=(3, dim)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, dim)))
@@ -182,13 +182,13 @@ def test_feed_forward_gradients_and_residual():
 
 
 def test_feed_forward_hidden_width_is_four_x():
-    ff = blocks.FeedForward(16, RngState(16))
+    ff = blocks.FeedForward(16, np.random.default_rng(16))
     assert ff.lin1.weight.shape == (16, 64)
     assert ff.lin2.weight.shape == (64, 16)
 
 
 def test_linear_init_within_fan_in_bound():
-    lin = blocks.Linear(25, 10, RngState(17))
+    lin = blocks.Linear(25, 10, np.random.default_rng(17))
     bound = 1.0 / math.sqrt(25)
     assert np.all(np.abs(lin.weight.data) <= bound)
     assert np.all(np.abs(lin.bias.data) <= bound)
@@ -196,7 +196,7 @@ def test_linear_init_within_fan_in_bound():
 
 def test_attention_params_rejects_indivisible_heads():
     with pytest.raises(ShapeError):
-        blocks.AttentionParams(10, 3, RngState(18))
+        blocks.AttentionParams(10, 3, np.random.default_rng(18))
 
 
 def looped_attention(params, q_in, kv_in, residual, q_pos=None, k_pos=None):
@@ -252,7 +252,7 @@ def test_inference_attention_holds_one_head_of_scores_at_a_time():
 
 
 def test_positional_table_capacity_enforced():
-    pe = blocks.PositionalEncoding(8, 4, RngState(19))
+    pe = blocks.PositionalEncoding(8, 4, np.random.default_rng(19))
     assert pe.rows(8).shape == (8, 4)
     with pytest.raises(ShapeError):
         pe.rows(9)
@@ -261,9 +261,10 @@ def test_positional_table_capacity_enforced():
 def test_named_parameters_is_deterministic_and_complete():
     class Stack(blocks.Module):
         def __init__(self):
-            self.layers = [blocks.Linear(4, 4, RngState(20)), blocks.Linear(4, 4, RngState(21))]
+            self.layers = [blocks.Linear(4, 4, np.random.default_rng(20)),
+                           blocks.Linear(4, 4, np.random.default_rng(21))]
             self.norm = blocks.LayerNorm(4)
-            self.pos = blocks.PositionalEncoding(6, 4, RngState(22))
+            self.pos = blocks.PositionalEncoding(6, 4, np.random.default_rng(22))
 
     names = [n for n, _ in Stack().named_parameters()]
     assert names == [
@@ -275,13 +276,13 @@ def test_named_parameters_is_deterministic_and_complete():
 
 
 def test_attention_dropout_only_active_in_training():
-    params = blocks.AttentionParams(8, 2, RngState(23), drop_rate=0.5)
+    params = blocks.AttentionParams(8, 2, np.random.default_rng(23), drop_rate=0.5)
     x = Tensor(np.random.default_rng(24).normal(size=(4, 8))[None])
     eval_out = blocks.self_attention(x, params)
-    eval_again = blocks.self_attention(x, params, rng=None)
+    eval_again = blocks.self_attention(x, params, streams=None)
     np.testing.assert_array_equal(eval_out.data, eval_again.data)
-    train_a = blocks.self_attention(x, params, rng=RngState(1))
-    train_b = blocks.self_attention(x, params, rng=RngState(2))
+    train_a = blocks.self_attention(x, params, streams=[np.random.default_rng(1)])
+    train_b = blocks.self_attention(x, params, streams=[np.random.default_rng(2)])
     assert not np.array_equal(train_a.data, train_b.data)
 
 
@@ -337,7 +338,7 @@ def test_permutation_equivariance_without_positions():
 def test_positions_break_permutation_equivariance():
     params = make_params(8, 2, seed=38)
     rng = np.random.default_rng(39)
-    pos = blocks.PositionalEncoding(8, 8, RngState(40))
+    pos = blocks.PositionalEncoding(8, 8, np.random.default_rng(40))
     x = rng.normal(size=(6, 8))
     perm = np.array([5, 0, 1, 2, 3, 4])
     a = blocks.self_attention(Tensor(x[None]), params, pos=pos.rows(6)).data[0]
@@ -346,7 +347,7 @@ def test_positions_break_permutation_equivariance():
 
 
 def test_feed_forward_hand_computed_single_position():
-    ff = blocks.FeedForward(2, RngState(41))
+    ff = blocks.FeedForward(2, np.random.default_rng(41))
     x = np.array([[0.5, -1.0]])
     h = np.maximum(x @ ff.lin1.weight.data + ff.lin1.bias.data, 0.0)
     want = x + (h @ ff.lin2.weight.data + ff.lin2.bias.data)
@@ -354,7 +355,7 @@ def test_feed_forward_hand_computed_single_position():
 
 
 def test_feed_forward_is_positionwise():
-    ff = blocks.FeedForward(5, RngState(42))
+    ff = blocks.FeedForward(5, np.random.default_rng(42))
     rng = np.random.default_rng(43)
     x = rng.normal(size=(7, 5))
     perm = rng.permutation(7)

@@ -10,7 +10,7 @@ import pytest
 
 from momentkit import autograd as ag
 from momentkit import blocks
-from momentkit.autograd import RngState, Tensor
+from momentkit.autograd import Tensor
 from momentkit.data import FeatureSequence, MomentAnnotation, VideoSample
 from momentkit.fdcheck import check_gradients
 from momentkit.losses import LossWeights, build_targets, regression_losses, saliency_loss, total_loss, focal_center_loss
@@ -22,7 +22,7 @@ from momentkit.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from momentkit.train import predict, sample_loss, stack_losses
+from momentkit.train import predict, stack_losses
 
 SMALL = dict(
     model_dim=8, heads=2, uni_layers=1, cross_layers=1, decoder_layers=1,
@@ -76,33 +76,68 @@ def test_eval_forward_is_deterministic():
 def test_training_dropout_changes_outputs_but_is_seed_reproducible():
     model = MomentModel(small_config(), seed=4)
     sample = make_sample(seed=5)
-    first = model.forward(sample, rng=RngState(11))
-    again = model.forward(sample, rng=RngState(11))
-    other = model.forward(sample, rng=RngState(12))
+    first = model.forward(sample, [np.random.default_rng(11)])
+    again = model.forward(sample, [np.random.default_rng(11)])
+    other = model.forward(sample, [np.random.default_rng(12)])
     assert np.array_equal(first.heatmap.data, again.heatmap.data)
     assert not np.array_equal(first.heatmap.data, other.heatmap.data)
 
 
-def test_dropout_draws_follow_the_stream():
-    """A dropout stream makes a forward draw one mask per dropout site; without one it equals zero-rate dropout."""
+def recorded_masks(monkeypatch) -> list:
+    """Every keep-mask ``autograd`` draws from here on, in draw order."""
+    masks, keep_mask = [], ag._keep_mask
+
+    def recording(shape, rate, streams):
+        keep = keep_mask(shape, rate, streams)
+        if keep is not None:
+            masks.append(keep)
+        return keep
+
+    monkeypatch.setattr(ag, "_keep_mask", recording)
+    return masks
+
+
+def test_dropout_draws_follow_the_stream(monkeypatch):
+    """Dropout streams make a forward draw one mask per dropout site; without them it equals zero-rate dropout."""
     model = MomentModel(small_config(), seed=4)
     sample = make_sample(seed=5)
-    rng = RngState(11)
-    model.forward(sample, rng)
+    masks = recorded_masks(monkeypatch)
+    model.forward(sample, [np.random.default_rng(11)])
     # 3 input dropouts + 2 uni-modal layers x (attention + 2 in the FFN) + cross-modal
     # (4 attentions + 2 FFNs x 2) + query generator 1 + decoder (2 attentions + 2 in the FFN)
-    assert rng.position == 3 + 2 * 3 + 8 + 1 + 4 == 22
-    # a stack draws one mask per site for all of its samples, so the same 22 draws
-    stacked = RngState(11)
-    model.forward([make_sample(seed=5 + i) for i in range(3)], stacked)
-    assert stacked.position == 22
+    assert len(masks) == 3 + 2 * 3 + 8 + 1 + 4 == 22
+    # a stack draws the same 22 masks, one row per sample
+    masks.clear()
+    model.forward([make_sample(seed=5 + i) for i in range(3)], [np.random.default_rng([11, i]) for i in range(3)])
+    assert len(masks) == 22 and all(len(m) == 3 for m in masks)
     no_rates = dict(dropout=0.0, pre_dropout_av=0.0, pre_dropout_text=0.0)
-    unused = RngState(11)
-    zero_rate = MomentModel(small_config(**no_rates), seed=4).forward(sample, unused)
-    assert unused.position == 0
+    unused = np.random.default_rng(11)
+    zero_rate = MomentModel(small_config(**no_rates), seed=4).forward(sample, [unused])
+    assert unused.bit_generator.state == np.random.default_rng(11).bit_generator.state
     eval_out = model.forward(sample)
     for field in ("saliency", "heatmap", "window", "offset"):
         assert np.array_equal(getattr(eval_out, field).data, getattr(zero_rate, field).data)
+
+
+def test_a_stacked_training_forward_draws_each_samples_own_masks(monkeypatch):
+    """Row r of every mask a stack draws is bitwise the mask sample r draws alone from its own stream.
+
+    Afterwards each sample's generator is where its lone forward leaves it.
+    """
+    model = MomentModel(small_config(), seed=4)
+    samples = [make_sample(n_clips=7, seed=20 + i) for i in range(3)]
+    masks = recorded_masks(monkeypatch)
+    stacked = [np.random.default_rng([11, 0, i]) for i in range(3)]
+    model.forward(samples, stacked)
+    stack_masks = list(masks)
+    for i, sample in enumerate(samples):
+        masks.clear()
+        alone = np.random.default_rng([11, 0, i])
+        model.forward(sample, [alone])
+        assert len(masks) == len(stack_masks) == 22
+        for site, (lone, stack) in enumerate(zip(masks, stack_masks)):
+            assert lone.shape[0] == 1 and lone[0].tobytes() == stack[i].tobytes(), (i, site)
+        assert stacked[i].bit_generator.state == alone.bit_generator.state, i
 
 
 @pytest.mark.parametrize("overrides", [{}, dict(use_text=False), dict(use_audio=False)])
@@ -148,7 +183,7 @@ def test_training_forward_tape_node_count():
     model = MomentModel(small_config(), seed=4)
     sample = make_sample(seed=5)
     targets = build_targets(sample.moments, sample.saliency, sample.n_clips)
-    loss, _ = sample_loss(model, sample, targets, LossWeights(), RngState(11))
+    ((loss, _),) = stack_losses(model, [sample], [targets], LossWeights(), [np.random.default_rng(11)])
     assert len(ag._topo_order(loss)) == 254
 
 
@@ -163,7 +198,7 @@ def test_stacked_training_forward_tape_node_count():
     model = MomentModel(small_config(), seed=4)
     stack = [make_sample(seed=5 + i) for i in range(3)]
     losses = stack_losses(model, stack, [build_targets(s.moments, s.saliency, s.n_clips) for s in stack],
-                          LossWeights(), RngState(11))
+                          LossWeights(), [np.random.default_rng([11, i]) for i in range(3)])
     total = ag.add(ag.add(losses[0][0], losses[1][0]), losses[2][0])
     assert sum(isinstance(v, ag._Node) for v in ag._topo_order(total)) == 155
 

@@ -14,14 +14,14 @@ import pytest
 
 from momentkit import autograd as ag
 from momentkit import train as train_module
-from momentkit.autograd import NumericError, RngState, Tensor
+from momentkit.autograd import NumericError, Tensor
 from momentkit.data import DataError, SynthConfig, VideoSample, synthesize_dataset
 from momentkit.decode import read_predictions
 from momentkit.losses import LossWeights, build_targets
 from momentkit.metrics import build_report
 from momentkit.model import ConfigError, ModelConfig, MomentModel, save_checkpoint
 from momentkit.train import (
-    AdamW, TrainConfig, backward_units, evaluate, predict, sample_loss, stack_losses, train,
+    AdamW, TrainConfig, backward_units, evaluate, predict, stack_losses, train,
 )
 
 MODEL = dict(
@@ -149,14 +149,14 @@ def test_same_seed_gives_identical_runs(tmp_path):
 # sha256 of the checkpoint that test_checkpoint_bytes_are_pinned trains, by the OpenBLAS kernel
 # numpy runs: kernels of different SIMD widths sum a product's inner dimension in different
 # orders, so the last bits of every gradient, and the bytes, follow the kernel. A change that
-# moves checkpoint bytes updates every row (each kernel can be forced with OPENBLAS_CORETYPE)
-# and records the move in CHANGES.md
+# moves checkpoint bytes updates every row (each kernel can be forced with OPENBLAS_CORETYPE, and
+# a mismatch prints the digest the run gave) and records the move in CHANGES.md
 PINNED_CHECKPOINT_SHA256 = {
-    "SkylakeX": "3e771a928f7c846274e50ad96eee43dfdf15223b3e13b27f4149318fcf344e26",
-    "Haswell": "a6f9d842dbda99fc8a473737890136a8ca165701c023b69c05e691f4890aef33",
-    "Sandybridge": "dd2b8b8c958b3912681087139bfa7884355697a28d716c125e93255b9b71c62d",
-    "Nehalem": "0cf6e79f4cf42742eb9636351f8c7c94aa10e5b749b12d3651bf3cf90e19efff",
-    "Katmai": "9ed36dbce0276e30eaa222fc3148bbb00339168a24f466ce7e146382a61c1ba4",  # OPENBLAS_CORETYPE=Prescott
+    "SkylakeX": "76561ae815e5cedf424538609bf61167d6dfa16d4d178e56741db1d492efe67b",
+    "Haswell": "02769b07e62496f3e30a1d56d0573d50e6e7f1ffa1ffa99daab51145dd20989a",
+    "Sandybridge": "178bae932aee51f756dd55b9d2eddb629461ccb23a34528a5d134172e4f58408",
+    "Nehalem": "3c8f1771f252b57715ba8c2c3df5a57ee19188328e8cce51596048397e097e31",
+    "Katmai": "03cd37cfa31174bfeb3dc9afd00ffc7186e9ca54d8212d27c6f909f316d70671",  # OPENBLAS_CORETYPE=Prescott
 }
 
 
@@ -185,7 +185,14 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     digest = hashlib.sha256((tmp_path / "final.ckpt").read_bytes()).hexdigest()
     kernel = blas_kernel()
     assert kernel in PINNED_CHECKPOINT_SHA256, f"no pin for BLAS kernel {kernel!r}; this run gave {digest}"
-    assert digest == PINNED_CHECKPOINT_SHA256[kernel], f"BLAS kernel {kernel}"
+    assert digest == PINNED_CHECKPOINT_SHA256[kernel], f"BLAS kernel {kernel}; this run gave {digest}"
+
+
+def test_untrained_checkpoint_bytes_are_pinned(tmp_path):
+    """The initial parameters alone: no product and no dropout mask is involved, so one pin holds on every kernel."""
+    save_checkpoint(MomentModel(ModelConfig(**MODEL), seed=3), tmp_path / "init.ckpt")
+    digest = hashlib.sha256((tmp_path / "init.ckpt").read_bytes()).hexdigest()
+    assert digest == "9b226a2f56d09795dd3f3dc57981d1bd1ccb8e49f14d69a27a96e13a9758e999"
 
 
 def test_older_pinned_kernels_keep_their_pins_and_split_bytes():
@@ -211,9 +218,10 @@ def test_older_pinned_kernels_keep_their_pins_and_split_bytes():
         coretype = "Prescott" if row == "Katmai" else row
         runs[row] = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                                      text=True, env={**env, "OPENBLAS_CORETYPE": coretype})
-    for row, run in runs.items():
-        out, _ = run.communicate(timeout=300)
-        assert run.returncode == 0, f"{row}:\n{out[-5000:]}"
+    # every run is waited for before any is judged, so a failing row leaves no other's pipe open
+    outs = {row: run.communicate(timeout=300)[0] for row, run in runs.items()}
+    failed = {row: outs[row][-5000:] for row, run in runs.items() if run.returncode != 0}
+    assert not failed, "\n".join(f"{row}:\n{out}" for row, out in failed.items())
 
 
 @pytest.mark.parametrize("layers, n_params", [((1, 1, 1), 119), ((2, 2, 3), 223)])
@@ -234,8 +242,8 @@ def test_each_parameter_receives_one_gradient_per_sample_backward(layers, n_para
         accumulate(v, grad)
 
     monkeypatch.setattr(ag, "_accumulate", counting)
-    loss, _ = sample_loss(model, sample, build_targets(sample.moments, sample.saliency, sample.n_clips),
-                          LossWeights(), RngState(1))
+    ((loss, _),) = stack_losses(model, [sample], [build_targets(sample.moments, sample.saliency, sample.n_clips)],
+                                LossWeights(), [np.random.default_rng(1)])
     ag.backward(loss)
     assert len(params) == n_params
     assert {n: c for n, c in received.items() if c != 1} == {}
@@ -244,7 +252,7 @@ def test_each_parameter_receives_one_gradient_per_sample_backward(layers, n_para
     received.update(dict.fromkeys(params, 0))
     stack = synthesize_dataset(SynthConfig(n_videos=3, n_clips=16, min_moments=2, seed=22))
     losses = stack_losses(model, stack, [build_targets(s.moments, s.saliency, s.n_clips) for s in stack],
-                          LossWeights(), RngState(1))
+                          LossWeights(), [np.random.default_rng([1, i]) for i in range(3)])
     ag.backward(ag.add(ag.add(losses[0][0], losses[1][0]), losses[2][0]))
     assert {n: c for n, c in received.items() if c != 1} == {}
 
@@ -278,12 +286,12 @@ def test_a_step_equals_one_backward_through_the_summed_batch_graph(monkeypatch):
     (grads,) = GradRecordingAdamW.steps
 
     ref = make_model(seed=3)
-    drop_rng = RngState(cfg.seed)
     total = None
     for idx in np.random.default_rng(cfg.seed).permutation(len(samples)):
         s = samples[idx]
         targets = build_targets(s.moments, s.saliency, s.n_clips)
-        loss, _ = sample_loss(ref, s, targets, cfg.task_weights(), drop_rng)
+        ((loss, _),) = stack_losses(ref, [s], [targets], cfg.task_weights(),
+                                    [np.random.default_rng([cfg.seed, 0, idx])])
         total = loss if total is None else ag.add(total, loss)
     ag.backward(ag.mul(total, 1.0 / len(samples)))
     AdamW(ref.named_parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay).step()
@@ -293,60 +301,28 @@ def test_a_step_equals_one_backward_through_the_summed_batch_graph(monkeypatch):
         assert p.data.tobytes() == q.data.tobytes(), name
 
 
-class RecordedStream(RngState):
-    """A dropout stream that keeps every draw it hands out."""
-
-    draws: list[np.ndarray] = []
-
-    def random(self, shape=None):
-        out = super().random(shape)
-        self.draws.append(out)
-        return out
-
-
-class ReplayedStream(RngState):
-    """Hands out row ``row`` of each recorded stacked draw in turn, as a stack of one.
-
-    That is one sample's share of the stack's masks; each draw must have the
-    shape the lone forward asks for.
-    """
-
-    def __init__(self, draws, row):
-        super().__init__(0)
-        self._draws = iter(draws)
-        self._row = row
-
-    def random(self, shape=None):
-        out = next(self._draws)[self._row : self._row + 1]
-        assert out.shape == shape
-        return out
-
-
 @pytest.mark.parametrize("dropout", [False, True])
 def test_a_stacked_step_equals_the_per_sample_fold(dropout, monkeypatch):
     """A batch of one shape is one stacked forward and backward; its gradients equal the per-sample fold.
 
     The stack sums its weight gradients over all samples' rows in one product,
     so the two agree to rounding, within 1e-12 of each parameter's largest
-    gradient. With dropout, each sample replays its row of the stack's masks.
+    gradient. With dropout, each sample trains alone on its own stream.
     """
     samples = tiny_dataset(n=4, seed=2)
     rates = {} if dropout else dict(dropout=0.0, pre_dropout_av=0.0, pre_dropout_text=0.0)
     cfg = TrainConfig(epochs=1, batch_size=4, seed=1)
-    monkeypatch.setattr(RecordedStream, "draws", [])
-    monkeypatch.setattr(train_module, "RngState", RecordedStream)
     monkeypatch.setattr(GradRecordingAdamW, "steps", [])
     monkeypatch.setattr(train_module, "AdamW", GradRecordingAdamW)
     model = make_model(seed=3, **rates)
     train(model, samples, cfg)
-    assert len(RecordedStream.draws) == (22 if dropout else 0)  # one mask per site for the whole stack
     (grads,) = GradRecordingAdamW.steps
 
     ref = make_model(seed=3, **rates)
-    for row, idx in enumerate(np.random.default_rng(cfg.seed).permutation(len(samples))):
+    for idx in np.random.default_rng(cfg.seed).permutation(len(samples)):
         s = samples[idx]
-        loss, _ = sample_loss(ref, s, build_targets(s.moments, s.saliency, s.n_clips), cfg.task_weights(),
-                              ReplayedStream(RecordedStream.draws, row))
+        ((loss, _),) = stack_losses(ref, [s], [build_targets(s.moments, s.saliency, s.n_clips)], cfg.task_weights(),
+                                    [np.random.default_rng([cfg.seed, 0, idx])])
         ag.backward(ag.mul(loss, 1.0 / len(samples)))
     for name, q in ref.named_parameters():
         assert np.abs(grads[name] - q.grad).max() <= 1e-12 * np.abs(q.grad).max(), name
@@ -368,7 +344,8 @@ def test_a_training_step_holds_one_samples_tape():
     s = samples[0]
     tracemalloc.start()
     try:
-        loss, _ = sample_loss(model, s, build_targets(s.moments, s.saliency, s.n_clips), LossWeights(), RngState(0))
+        ((loss, _),) = stack_losses(model, [s], [build_targets(s.moments, s.saliency, s.n_clips)], LossWeights(),
+                                    [np.random.default_rng(0)])
         tape = tracemalloc.get_traced_memory()[0]
         ag.backward(loss)
         for _, p in model.named_parameters():
@@ -393,7 +370,7 @@ def test_a_stacked_step_holds_the_stacks_tape_not_the_batchs():
     tracemalloc.start()
     try:
         losses = stack_losses(model, stack, [build_targets(s.moments, s.saliency, s.n_clips) for s in stack],
-                              LossWeights(), RngState(0))
+                              LossWeights(), [np.random.default_rng([0, i]) for i in range(2)])
         tape = tracemalloc.get_traced_memory()[0]
         ag.backward(ag.add(losses[0][0], losses[1][0]))
         for _, p in model.named_parameters():
