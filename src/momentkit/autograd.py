@@ -21,14 +21,20 @@ Design constraints:
   * first-order gradients only
   * a large op runs as two halves, one on a single worker thread and one on
     the caller (``_in_two``): ``matmul`` and ``linear`` split the rows of their
-    (..., k) operand and run their two gradient products at once, ``attend``
-    splits its query rows forward and its heads backward. Whether and where an
-    op splits follows from its shapes alone (``_cut``), never from the CPU
-    count, and each half makes the BLAS calls it would make on one CPU, so the
-    bytes do not depend on the host's CPUs. The worker starts on first use and
-    only where the process may run on more than one CPU; taping, the grad mode
-    and the MAC tally stay on the caller, and BLAS's own thread settings are
-    left alone
+    (..., k) operand, ``linear`` adding its bias in each half, and run their two
+    gradient products at once; ``attend`` splits its query rows forward and its
+    heads backward; ``layer_norm``, ``relu`` and ``add`` of operands that hold
+    the same rows (so also ``residual_dropout`` without streams) split the
+    flattened rows of a stack forward (``_by_rows``), taped or not. Whether and
+    where an op splits follows from its shapes alone (``_cut``, and
+    ``_SPLIT_ELEMENTS`` for the row-wise ops), never from the CPU count, and
+    each half makes the BLAS calls it would make on one CPU, so the bytes do
+    not depend on the host's CPUs. The worker starts on first use and only
+    where the process may run on more than one CPU; taping, the grad mode and
+    the MAC tally stay on the caller, and BLAS's own thread settings are left
+    alone
+  * ``layer_norm`` computes in its own buffers: x̂ overwrites the centred rows,
+    and without a tape the output overwrites x̂
   * a leading sample axis runs a stack of same-shape samples as one pass
     (the model runs every forward as a stack, a lone sample as a stack of one):
     ``matmul`` and ``linear`` multiply an (..., k) operand by a 2-D (k, n)
@@ -81,6 +87,9 @@ _mac_count = 0
 
 # multiply-accumulates below which an op runs whole on the caller (see ``_in_two``)
 _SPLIT_WORK = 2**20
+
+# elements below which a row-wise op runs whole on the caller (see ``_by_rows``)
+_SPLIT_ELEMENTS = 2**16
 
 # the one worker thread of ``_in_two``: ``None`` until first use, ``False`` where
 # this process may run on only one CPU
@@ -135,6 +144,35 @@ def _cut(rows: int, row_macs: int) -> int:
     """
     half = rows // 48 * 24
     return half if half * row_macs >= _SPLIT_WORK else 0
+
+
+def _by_rows(part: Callable[..., None], *args) -> None:
+    """``part(*args)``: a row-wise op writing into arrays the caller allocated.
+
+    Every array argument of two or more axes has as many rows along its last
+    axis as the first, ``x``. When ``x`` has at least ``_SPLIT_ELEMENTS``
+    elements, the op runs as two halves on ``_in_two``: those arrays are cut
+    into halves of their flattened rows by ``_cut``'s 24-row rule, and each
+    half gets the other arguments whole. A smaller op runs whole after this
+    one size comparison, before any closure or view is built. Elementwise ops
+    and per-row reductions do not depend on where the rows are cut, so
+    neither does a byte.
+    """
+    x = args[0]
+    cut = x.size // x.shape[-1] // 48 * 24 if x.size >= _SPLIT_ELEMENTS else 0
+    if not cut:
+        part(*args)
+        return
+    first, second = [], []
+    for a in args:
+        if isinstance(a, np.ndarray) and a.ndim > 1:
+            a = a.reshape(-1, a.shape[-1])
+            first.append(a[:cut])
+            second.append(a[cut:])
+        else:
+            first.append(a)
+            second.append(a)
+    _in_two(lambda: part(*first), lambda: part(*second))
 
 
 def reset_mac_count() -> None:
@@ -283,19 +321,37 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
+    """Elementwise sum with numpy's broadcasting: an (N, d) table adds to every sample of a stack."""
     a, b = _coerce(a), _coerce(b)
     a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-    return _make(a.data + b.data, (a, b), backward)
+    return _make(_sum(a.data, b.data), (a, b), backward)
+
+
+def _sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x + y``, on ``_by_rows`` when the operands hold the same rows (shapes equal but for leading 1s)."""
+    big, small = (x, y) if x.ndim >= y.ndim else (y, x)  # float addition commutes, bit for bit
+    if big.size >= _SPLIT_ELEMENTS and big.size == small.size and big.shape[big.ndim - small.ndim:] == small.shape:
+        out = np.empty(big.shape)
+        _by_rows(np.add, big, small, out)
+        return out
+    try:
+        return x + y
+    except ValueError:
+        raise ShapeError(f"add operands do not broadcast: {x.shape} and {y.shape}") from None
 
 
 def mul(a, b) -> Tensor:
     """Elementwise product. An operand that needs no gradient gets none, so the other's data is not kept for it."""
     a, b = _coerce(a), _coerce(b)
     a_shape, b_shape = a.shape, b.shape
+    try:
+        data = a.data * b.data
+    except ValueError:
+        raise ShapeError(f"mul operands do not broadcast: {a_shape} and {b_shape}") from None
     a_data = a.data if b.requires_grad else None  # read only by b's gradient
     b_data = b.data if a.requires_grad else None
 
@@ -303,14 +359,15 @@ def mul(a, b) -> Tensor:
         return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
                 None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
-    return _make(a.data * b.data, (a, b), backward)
+    return _make(data, (a, b), backward)
 
 
-def _product(a: Tensor, w: Tensor) -> np.ndarray:
-    """``a.data @ w.data`` for an (..., k) ``a`` and a 2-D (k, n) ``w``, as one product over all of ``a``'s rows.
+def _product(a: Tensor, w: Tensor, bias: np.ndarray | None = None) -> np.ndarray:
+    """``a.data @ w.data``, plus ``bias``, for an (..., k) ``a`` and a 2-D (k, n) ``w``, over all of ``a``'s rows.
 
     Tallied in the MAC counter. A product with n >= 256 runs as two halves of
-    ``a``'s rows, split where ``_cut`` says; the (d, 1) heads never split.
+    ``a``'s rows, split where ``_cut`` says, each half adding the bias into its
+    own rows; the (d, 1) heads never split.
     """
     if a.data.ndim < 2 or w.data.ndim != 2:
         raise ShapeError(f"matmul needs an (..., k) operand and a 2-D one, got {a.shape} and {w.shape}")
@@ -322,11 +379,17 @@ def _product(a: Tensor, w: Tensor) -> np.ndarray:
     out = np.empty((rows.shape[0], w.shape[1]))
     cut = _cut(rows.shape[0], a.shape[-1] * w.shape[1]) if w.shape[1] >= 256 else 0
     if cut:
-        _in_two(lambda: np.matmul(rows[:cut], w_data, out=out[:cut]),
-                lambda: np.matmul(rows[cut:], w_data, out=out[cut:]))
+        _in_two(lambda: _affine(rows[:cut], w_data, bias, out[:cut]),
+                lambda: _affine(rows[cut:], w_data, bias, out[cut:]))
     else:
-        np.matmul(rows, w_data, out=out)
+        _affine(rows, w_data, bias, out)
     return out.reshape(*a.shape[:-1], w.shape[1])
+
+
+def _affine(rows: np.ndarray, w: np.ndarray, bias: np.ndarray | None, out: np.ndarray) -> None:
+    np.matmul(rows, w, out=out)
+    if bias is not None:
+        out += bias
 
 
 def _product_grads(a: Tensor, w: Tensor) -> Callable[[np.ndarray], tuple]:
@@ -358,7 +421,7 @@ def matmul(a: Tensor, w: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one node, the bias added into the product in place.
+    """``x @ w + b`` as one node, the bias added into each half of the product in place.
 
     Bitwise equal to ``add(matmul(x, w), b)`` in value and gradients, with the
     same MAC count. A constant ``x`` (a feature array) gets no ``g @ w.T``.
@@ -366,8 +429,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
     if b.shape != w.shape[1:]:
         raise ShapeError(f"linear bias shape {b.shape} does not match weight shape {w.shape}")
-    data = _product(x, w)
-    data += b.data
+    data = _product(x, w, b.data)
     product_grads, b_shape = _product_grads(x, w), b.shape
 
     def backward(g):
@@ -395,12 +457,20 @@ def sum_(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """max(x, 0); the node keeps the 1-byte mask ``x > 0``, not ``x``."""
     a = _coerce(a)
-    positive = a.data > 0.0 if _grad_enabled and a.requires_grad else None
+    data = np.empty(a.shape)
+    positive = np.empty(a.shape, dtype=bool) if _grad_enabled and a.requires_grad else None
+    _by_rows(_relu_into, a.data, data, positive)
 
     def backward(g):
         return (g * positive,)
 
-    return _make(np.maximum(a.data, 0.0), (a,), backward)
+    return _make(data, (a,), backward)
+
+
+def _relu_into(x: np.ndarray, out: np.ndarray, positive: np.ndarray | None) -> None:
+    np.maximum(x, 0.0, out=out)
+    if positive is not None:
+        np.greater(x, 0.0, out=positive)
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -522,7 +592,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tenso
 
     An op of at least ``_SPLIT_WORK`` MACs runs as two halves: forward splits
     the query rows where ``_cut`` says, each half running every head into its
-    own rows of the one buffer, taped or not; backward splits the heads.
+    own rows of the one buffer, taped or not, from each head's k_h^T copied
+    once on the caller; backward splits the heads.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if q.data.ndim != 3 or k.data.ndim != 3 or k.shape[0] != q.shape[0] or v.shape != k.shape \
@@ -545,11 +616,12 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float) -> Tenso
     taped = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     weights = np.empty((n_heads if taped else 1, n_s, n_q, n_k))
     out = np.empty((n_s, n_q, dim))
+    k_ts = [k_t(cols) for cols in heads]
 
     def query_rows(lo: int, hi: int) -> None:
         for h, cols in enumerate(heads):
             w = weights[h if taped else 0, :, lo:hi]
-            np.matmul(q_data[:, lo:hi, cols], k_t(cols), out=w)
+            np.matmul(q_data[:, lo:hi, cols], k_ts[h], out=w)
             w *= scale
             _softmax_(w)
             np.matmul(w, v_data[:, :, cols], out=out[:, lo:hi, cols])
@@ -593,7 +665,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance (eps 1e-5), then apply an affine map.
 
     1-D input is a single row. ``gain`` and ``bias`` must match the trailing
-    (normalized) dimension.
+    (normalized) dimension. The centred rows become x̂ in place, and without
+    a tape the output overwrites x̂: a served call keeps one array, and makes
+    one temporary for the squared deviations.
     """
     a, gain, bias = _coerce(a), _coerce(gain), _coerce(bias)
     x = a.data
@@ -602,12 +676,14 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match normalized dim {dim}"
         )
-    # ``sum / dim`` is how numpy computes ``mean``, bit for bit, without its overhead
-    centred = x - x.sum(axis=-1, keepdims=True) / dim
-    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / dim + 1e-5)
-    xhat = centred * inv
-    data = xhat * gain.data + bias.data
+    xhat, inv = np.empty(x.shape), np.empty((*x.shape[:-1], 1))
+    taped = _grad_enabled and (a.requires_grad or gain.requires_grad or bias.requires_grad)
+    data = np.empty(x.shape) if taped else xhat
+    # the squared deviations go to the output before it is written, or without a tape
+    # to a buffer of their own: the caller allocates every large array a half writes
+    squares = data if taped else np.empty(x.shape)
     gain_data = gain.data
+    _by_rows(_normalize_into, x, xhat, inv, data, squares, gain_data, bias.data)
 
     def backward(g):
         dxhat = g * gain_data
@@ -617,6 +693,22 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         return dx, (g * xhat).reshape(-1, dim).sum(axis=0), g.reshape(-1, dim).sum(axis=0)
 
     return _make(data, (a, gain, bias), backward)
+
+
+def _normalize_into(x: np.ndarray, xhat: np.ndarray, inv: np.ndarray, out: np.ndarray, squares: np.ndarray,
+                    gain: np.ndarray, bias: np.ndarray) -> None:
+    """``layer_norm`` of ``x``: ``xhat`` takes x - mean, then x̂, and ``out`` (maybe ``xhat``) the output.
+
+    ``squares`` is overwritten; it may be ``out``, never ``xhat``.
+    """
+    dim = x.shape[-1]
+    # ``sum / dim`` is how numpy computes ``mean``, bit for bit, without its overhead
+    np.subtract(x, x.sum(axis=-1, keepdims=True) / dim, out=xhat)
+    np.multiply(xhat, xhat, out=squares)
+    np.divide(1.0, np.sqrt(squares.sum(axis=-1, keepdims=True) / dim + 1e-5), out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += bias
 
 
 def _keep_mask(shape, rate: float, streams: Sequence[np.random.Generator] | None) -> np.ndarray | None:

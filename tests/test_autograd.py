@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -171,6 +172,27 @@ def test_layer_norm_gradients():
 def test_layer_norm_shape_validation():
     with pytest.raises(ag.ShapeError):
         ag.layer_norm(ag.Tensor(np.zeros((2, 4))), ag.Tensor(np.zeros(3)), ag.Tensor(np.zeros(4)))
+
+
+def test_served_layer_norm_holds_its_output_and_at_most_one_temporary():
+    """Under ``no_grad`` the centred rows become x-hat and then the output in one buffer."""
+    rng = np.random.default_rng(6)
+    x, gain, bias = ag.Tensor(rng.normal(size=(1, 512, 256))), ag.Tensor(rng.normal(size=256)), \
+        ag.Tensor(rng.normal(size=256))
+    with ag.no_grad():
+        expected = ag.layer_norm(x, gain, bias).data
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = ag.layer_norm(x, gain, bias)
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+    nbytes, slack = out.data.nbytes, out.data.nbytes // 4  # slack: per-row sums, numpy's reduction buffers
+    assert out.data.tobytes() == expected.tobytes()
+    assert held <= nbytes + slack, f"{held} bytes held for a {nbytes}-byte output"
+    assert peak <= 2 * nbytes + slack, f"peak {peak} bytes for a {nbytes}-byte output"
 
 
 def streams(seed, rows):
@@ -341,6 +363,15 @@ def test_broadcast_add_and_mul_gradients():
     fd_check(loss, [("x", x), ("row", row), ("scalar", scalar)])
 
 
+@pytest.mark.parametrize("op", [ag.add, ag.mul])
+def test_operands_that_do_not_broadcast_raise_a_shape_error(op):
+    a, b = ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones(4))
+    for x, y in ((a, b), (b, a)):
+        message = f"{op.__name__} operands do not broadcast: {x.shape} and {y.shape}"
+        with pytest.raises(ag.ShapeError, match=re.escape(message)):
+            op(x, y)
+
+
 def test_slice_rows_gradients():
     rng = np.random.default_rng(13)
     x = ag.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
@@ -450,6 +481,7 @@ def split_mode(monkeypatch, mode):
         m.setattr(ag, "_worker", worker)
         if mode == "whole":
             m.setattr(ag, "_SPLIT_WORK", 2**62)
+            m.setattr(ag, "_SPLIT_ELEMENTS", 2**62)
         try:
             yield worker
         finally:
@@ -477,14 +509,49 @@ def _attend_and_product(n_s, n_q, n_k, taped):
     return [a.tobytes() for a in out], macs
 
 
-# (stack, queries, keys, taped, parts the worker runs): d256 self-attention at
-# 512 clips, both taped and served, and served at 333 clips, whose scores a cut
-# at a multiple of 16 rather than 24 would round differently on SkylakeX;
-# training stacks; a bottleneck compress (4 tokens over 160 clips); the query
-# generator (512 clips over 20 text tokens)
+def _row_wise(n_s, n, taped):
+    """Bytes of a d256 ``linear`` and its ``relu``, of ``layer_norm``, and of ``add`` of equal shapes and of an
+    (n, 256) table over the (n_s, n, 256) stack; their gradients, and the MACs."""
+    rng = np.random.default_rng(n_s * 10007 + n * 101)
+    d = 256
+    x, y, z, table = (rng.normal(size=shape) for shape in [(n_s, n, d)] * 3 + [(n, d)])
+    w, b, gain, bias = (rng.normal(size=shape) for shape in ((d, d), (d,), (d,), (d,)))
+    leaves = [ag.Tensor(a, requires_grad=True) for a in (x, y, z, table, w, b, gain, bias)]
+    macs = ag.mac_count()
+    with contextlib.nullcontext() if taped else ag.no_grad():
+        lin, norm = ag.linear(leaves[0], *leaves[4:6]), ag.layer_norm(leaves[0], *leaves[6:])
+        outs = [lin, ag.relu(lin), norm, ag.add(norm, leaves[1]), ag.add(leaves[2], leaves[3])]
+    macs = ag.mac_count() - macs
+    out = [t.data for t in outs]
+    if taped:
+        loss = ag.sum_(ag.mul(outs[0], rng.normal(size=outs[0].shape)))
+        for t in outs[1:]:
+            loss = ag.add(loss, ag.sum_(ag.mul(t, rng.normal(size=t.shape))))
+        ag.backward(loss)
+        out += [t.grad for t in leaves]
+    return [a.tobytes() for a in out], macs
+
+
+def row_wise_parts(n_s, n, taped):
+    """The parts the worker runs for ``_row_wise`` over an (n_s, n, 256) stack: the linear's product from 48 rows
+    (``_cut``) and its two gradient products from 16 (``_SPLIT_WORK``), and from 256 rows (``_SPLIT_ELEMENTS``)
+    relu, layer_norm and the equal-shape add, and the table add for a stack of one."""
+    rows = n_s * n
+    return (rows >= 48) + (taped and rows >= 16) + (3 + (n_s == 1)) * (rows >= 256)
+
+
+# (stack, queries, keys, taped, parts the worker runs for attend and the
+# product): d256 self-attention at 512 clips, both taped and served, and served
+# at 333 clips, whose scores a cut at a multiple of 16 rather than 24 would
+# round differently on SkylakeX; training stacks; a bottleneck compress (4
+# tokens over 160 clips); the query generator (512 clips over 20 text tokens);
+# stacks of one and of four whose rows fall below the row-wise ops' split (160
+# clips, 4 x 48), and a served stack of four above it (4 x 75)
 SPLIT_CASES = [
     (1, 512, 512, True, 4), (1, 512, 512, False, 2), (1, 333, 333, False, 2), (3, 160, 160, True, 2),
     (4, 75, 75, True, 2), (2, 128, 128, True, 2), (3, 4, 160, True, 1), (1, 512, 20, True, 2),
+    (1, 160, 160, True, 2), (1, 160, 160, False, 1), (4, 48, 48, True, 2), (4, 48, 48, False, 1),
+    (4, 75, 75, False, 1),
 ]
 
 
@@ -507,16 +574,21 @@ def one_blas_thread():
 
 @pytest.mark.parametrize("n_s, n_q, n_k, taped, parts", SPLIT_CASES)
 def test_a_split_op_keeps_the_bytes_of_the_whole_op(n_s, n_q, n_k, taped, parts, monkeypatch, one_blas_thread):
-    """Whole, split inline and split on the worker: every output, gradient and MAC count is equal."""
-    with split_mode(monkeypatch, "whole"):
-        whole = _attend_and_product(n_s, n_q, n_k, taped)
-    with split_mode(monkeypatch, "inline"):
-        inline = _attend_and_product(n_s, n_q, n_k, taped)
-    with split_mode(monkeypatch, "worker") as worker:
-        split = _attend_and_product(n_s, n_q, n_k, taped)
-    assert worker.parts == parts
-    assert inline == whole
-    assert split == whole
+    """Whole, split inline and split on the worker: every output, gradient and MAC count is equal.
+
+    ``parts`` pins the worker's parts for attend and the product, ``row_wise_parts`` those of the row-wise ops.
+    """
+    runs = {}
+    for mode in ("whole", "inline", "worker"):
+        with split_mode(monkeypatch, mode) as worker:
+            runs[mode] = [_attend_and_product(n_s, n_q, n_k, taped)]
+            if worker:
+                assert worker.parts == parts
+            runs[mode].append(_row_wise(n_s, n_q, taped))
+            if worker:
+                assert worker.parts - parts == row_wise_parts(n_s, n_q, taped)
+    assert runs["inline"] == runs["whole"]
+    assert runs["worker"] == runs["whole"]
 
 
 def _half_bad_scores(bad):
